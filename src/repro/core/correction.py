@@ -135,12 +135,13 @@ def correct_matrix(
         if not checksums.has_col():
             needs_row_side = True
         else:
-            residual = bool(thresholds.is_extreme(matrix).any())
+            # ``and`` short-circuits: the extreme rescan runs only after the
+            # column side repaired vectors (a clean pass proved there are none).
             column_fixed_everything = (
                 col_report is not None
                 and col_report.num_corrected > 0
                 and col_report.num_aborted == 0
-                and not residual
+                and not bool(thresholds.is_extreme(matrix).any())
             )
             needs_row_side = not column_fixed_everything
 
@@ -160,5 +161,9 @@ def correct_matrix(
             checksums.col = encode_column_checksums(matrix)
             report.checksums_recomputed = True
 
-    report.residual_extreme = int(thresholds.is_extreme(matrix).sum())
+    # The last pass left the matrix as it found it and saw no extreme value
+    # when it came back clean, so only a dirty pass needs the rescan.
+    last = row_report if row_report is not None else col_report
+    if not last.clean:
+        report.residual_extreme = int(thresholds.is_extreme(matrix).sum())
     return report

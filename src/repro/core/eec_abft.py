@@ -29,9 +29,15 @@ case classification, location and in-place correction all run inside the
 owning array library, so device-resident data is verified and repaired
 without a host round-trip.  The report masks belong to the same backend as
 the matrix; their scalar summaries (``num_detected`` etc.) are plain Python
-ints on every backend.  On NumPy this module executes the exact historical
-operation sequence — the equivalence tests compare every other backend's
-decisions against it, byte for byte.
+ints on every backend.  On NumPy this module is the reference — the
+equivalence tests compare every other backend's decisions against it, byte
+for byte.
+
+The fault-free case is the common one, so detection is one float64 column
+sum plus one per-column max-abs over the data.  Only when some vector is
+flagged do the weighted checksum, the per-element extreme mask, the Figure 3
+classification and the repair run; every report field and repair is
+bit-identical to computing all of them up front.
 
 The public entry points are :func:`check_columns` (column-checksum side,
 handles 0D and 1R patterns) and :func:`check_rows` (row-checksum side, 0D and
@@ -215,33 +221,37 @@ def check_columns(
 
     report = _empty_report((batch, n), xp)
 
-    _, v2 = checksum_weights(m, xp=xp)
-
-    # --- recompute checksums of the (possibly corrupted) data ----------------
-    # Accumulate in float64 regardless of the data dtype: summing a low
-    # precision (fp16/fp32) matrix in its own dtype loses enough weighted-sum
-    # precision to trigger false positives at the default thresholds.
-    flat64 = xp.astype(flat, xp.float64, copy=False)
     with xp.errstate(invalid="ignore", over="ignore"):
+        # --- detection: one sum and one max-abs pass over the data -----------
+        # Accumulate in float64 regardless of the data dtype: summing a low
+        # precision (fp16/fp32) matrix in its own dtype loses enough
+        # precision to trigger false positives at the default thresholds.
         recomputed0 = xp.sum(flat, axis=1, dtype=xp.float64)   # (B, n)
-        recomputed1 = xp.einsum("i,bij->bj", v2, flat64)       # (B, n)
         delta1 = cs[:, 0, :] - recomputed0
+        # The max propagates NaN, so a column holds an extreme (NaN, INF or
+        # near-INF) element exactly when its max-abs is not <= T_near-INF.
+        any_extreme = ~(xp.max(xp.abs(flat), axis=1) <= thresholds.near_inf)
+
+        tol = thresholds.detection_tolerance(cs[:, 0, :])
+        finite_d1 = xp.isfinite(delta1)
+        abs_d1 = xp.abs(delta1)
+        detected = (abs_d1 > tol) | ~finite_d1 | any_extreme
+
+        report.detected[:] = detected
+        if not bool(detected.any()):
+            return _reshape_report(report, lead, n)
+
+        # --- flagged: weighted checksum and per-element extremes -------------
+        _, v2 = checksum_weights(m, xp=xp)
+        flat64 = xp.astype(flat, xp.float64, copy=False)
+        recomputed1 = xp.einsum("i,bij->bj", v2, flat64)       # (B, n)
         delta2 = cs[:, 1, :] - recomputed1
 
         extreme = thresholds.is_extreme(flat)                  # (B, m, n)
         # Integer count of a boolean mask, not a checksum accumulation.
         # reprolint: disable=DT001
         n_extreme = xp.sum(extreme, axis=1)                    # (B, n)
-
-        tol = thresholds.detection_tolerance(cs[:, 0, :])
-        finite_d1 = xp.isfinite(delta1)
-        abs_d1 = xp.abs(delta1)
         numeric_mismatch = finite_d1 & (abs_d1 > tol)
-        detected = numeric_mismatch | ~finite_d1 | (n_extreme > 0)
-
-        report.detected[:] = detected
-        if not bool(detected.any()):
-            return _reshape_report(report, lead, n)
 
         # --- classify the cases of Figure 3 ----------------------------------
         nan_d1 = xp.isnan(delta1)

@@ -1330,7 +1330,11 @@ class ProtectionEngine:
                     dirty = self._fold_request_dirty(
                         dirty, row_reports.detected[index] | row_reports.aborted[index]
                     )
-                report.residual_extreme = int(self.thresholds.is_extreme(item.matrix).sum())
+                # Detection-only passes leave the matrix untouched, and a clean
+                # pass proves it holds no extreme value: rescan only if flagged.
+                if report.detected:
+                    report.residual_extreme = int(
+                        self.thresholds.is_extreme(item.matrix).sum())
                 pairs.append((
                     item,
                     SectionOutcome(

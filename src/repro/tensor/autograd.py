@@ -354,21 +354,8 @@ class Tensor:
                 f"gradient shape {tuple(grad.shape)} does not match tensor shape {self.shape}"
             )
 
-        topo: List[Tensor] = []
-        visited = set()
-
-        def build(node: "Tensor") -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                build(parent)
-            topo.append(node)
-
-        build(self)
-
         grads = {id(self): grad}
-        for node in reversed(topo):
+        for node in reversed(_topological_order(self)):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
@@ -392,6 +379,31 @@ class Tensor:
                     grads[key] = grads[key] + pgrad
                 else:
                     grads[key] = pgrad
+
+
+def _topological_order(root: Tensor) -> List[Tensor]:
+    """Every node reachable from ``root``, each after all of its parents.
+
+    An iterative post-order DFS that visits parents in ``_parents`` order,
+    so it yields the same order as the textbook recursive sort (and with it
+    the same gradient accumulation order), without a depth limit and
+    without a self-referencing closure whose reference cycle would keep the
+    list, and every activation in it, alive until a cyclic GC pass.
+    """
+    topo: List[Tensor] = []
+    visited = {id(root)}
+    stack = [(root, iter(root._parents))]
+    while stack:
+        node, parents = stack[-1]
+        for parent in parents:
+            if id(parent) not in visited:
+                visited.add(id(parent))
+                stack.append((parent, iter(parent._parents)))
+                break
+        else:
+            stack.pop()
+            topo.append(node)
+    return topo
 
 
 class GradHookHandle:

@@ -31,7 +31,6 @@ from repro.utils.floatbits import (
     flip_bit,
     flip_exponent_msb,
     float_to_bits,
-    is_extreme,
     make_inf,
     make_nan,
     make_near_inf,
@@ -49,7 +48,6 @@ __all__ = [
     "flip_bit",
     "flip_exponent_msb",
     "float_to_bits",
-    "is_extreme",
     "make_inf",
     "make_nan",
     "make_near_inf",

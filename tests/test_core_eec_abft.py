@@ -1,9 +1,17 @@
 """Unit tests for the EEC-ABFT detection / correction kernel."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.core.checksums import encode_column_checksums, encode_row_checksums
+from repro.core.checksums import (
+    ChecksumState,
+    checksum_weights,
+    encode_column_checksums,
+    encode_row_checksums,
+)
+from repro.core.correction import MatrixCorrectionReport, correct_matrix
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.thresholds import ABFTThresholds
 
@@ -306,3 +314,240 @@ class TestReportMerge:
         # 4 columns + 5 rows = 9 concatenated vectors.
         assert merged.detected.shape == (9,)
         assert merged.num_corrected >= 1
+
+
+# ---------------------------------------------------------------------------
+# Single-pass clean detection: equivalence with the every-pass formulation
+# ---------------------------------------------------------------------------
+
+
+def _oracle_check_columns(matrix, col_checksums, thresholds, correct=True):
+    """``check_columns`` computing every detection quantity up front (the
+    weighted checksum and the per-element extreme mask included), as it did
+    before the clean path was cut to one sum and one max-abs pass."""
+    *lead, m, n = matrix.shape
+    flat = matrix.reshape(-1, m, n)
+    flat_is_view = np.shares_memory(flat, matrix)
+    cs = col_checksums.reshape(-1, 2, n)
+    batch = flat.shape[0]
+    report = ColumnCheckReport(
+        *(np.zeros((batch, n), dtype=bool) for _ in range(6)),
+        corrected_indices=np.full((batch, n), -1, dtype=np.int64),
+    )
+    _, v2 = checksum_weights(m, xp=np)
+    flat64 = flat.astype(np.float64, copy=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        recomputed0 = np.sum(flat, axis=1, dtype=np.float64)
+        recomputed1 = np.einsum("i,bij->bj", v2, flat64)
+        delta1 = cs[:, 0, :] - recomputed0
+        delta2 = cs[:, 1, :] - recomputed1
+        extreme = thresholds.is_extreme(flat)
+        n_extreme = np.sum(extreme, axis=1)
+        tol = thresholds.detection_tolerance(cs[:, 0, :])
+        finite_d1 = np.isfinite(delta1)
+        abs_d1 = np.abs(delta1)
+        numeric_mismatch = finite_d1 & (abs_d1 > tol)
+        detected = numeric_mismatch | ~finite_d1 | (n_extreme > 0)
+        report.detected[:] = detected
+        if not detected.any():
+            return _oracle_reshape(report, lead, n)
+
+        case1 = detected & finite_d1
+        report.case1[:] = case1
+        report.case2[:] = detected & np.isinf(delta1)
+        report.case3[:] = detected & np.isnan(delta1)
+        consistent_corruption = (n_extreme > 0) & finite_d1 & (abs_d1 <= tol)
+        aborted = (n_extreme > 1) | consistent_corruption
+        safe_d1 = np.where(np.abs(delta1) > 0, delta1, 1.0)
+        ratio = delta2 / safe_d1
+        ratio_valid = np.isfinite(ratio)
+        nearest = np.rint(ratio)
+        ratio_is_integer = ratio_valid & (np.abs(ratio - nearest) <= 0.45)
+        idx_from_checksum = np.clip(nearest.astype(np.int64, copy=False) - 1, 0, m - 1)
+        in_range = ratio_valid & (nearest >= 1) & (nearest <= m)
+        idx_from_search = np.argmax(extreme, axis=1)
+        numeric_single = case1 & numeric_mismatch & (n_extreme == 0)
+        numeric_locatable = numeric_single & in_range & ratio_is_integer
+        aborted = aborted | (numeric_single & ~(in_range & ratio_is_integer))
+        extreme_single = detected & (n_extreme == 1) & ~consistent_corruption
+        use_checksum_idx = (extreme_single & case1 & np.isfinite(delta2)
+                            & in_range & ratio_is_integer)
+        idx_extreme = np.where(use_checksum_idx, idx_from_checksum, idx_from_search)
+
+        if correct:
+            b, c = np.nonzero(numeric_locatable & ~aborted)
+            if b.shape[0]:
+                rows = idx_from_checksum[b, c]
+                corrupted = flat[b, rows, c]
+                large = np.abs(corrupted) > thresholds.correct
+                reconstructed = cs[b, 0, c] - (recomputed0[b, c] - corrupted)
+                flat[b, rows, c] = np.where(
+                    large, reconstructed, corrupted + delta1[b, c]).astype(flat.dtype)
+                report.corrected[b, c] = True
+                report.corrected_indices[b, c] = rows
+            b, c = np.nonzero(extreme_single & ~aborted)
+            if b.shape[0]:
+                rows = idx_extreme[b, c]
+                healthy = np.where(extreme, 0.0, flat.astype(np.float64, copy=False))
+                sum_others = np.sum(healthy, axis=1, dtype=np.float64)[b, c] - np.where(
+                    thresholds.is_extreme(flat[b, rows, c]), 0.0, flat[b, rows, c])
+                flat[b, rows, c] = (cs[b, 0, c] - sum_others).astype(flat.dtype)
+                report.corrected[b, c] = True
+                report.corrected_indices[b, c] = rows
+        report.aborted[:] = aborted
+
+    if correct and not flat_is_view:
+        matrix[...] = flat.reshape(matrix.shape)
+    return _oracle_reshape(report, lead, n)
+
+
+def _oracle_reshape(report, lead, n):
+    shape = tuple(lead) + (n,)
+    return ColumnCheckReport(*(getattr(report, f.name).reshape(shape)
+                               for f in dataclasses.fields(ColumnCheckReport)))
+
+
+def _oracle_check_rows(matrix, row_checksums, thresholds, correct=True):
+    return _oracle_check_columns(np.swapaxes(matrix, -1, -2),
+                                 np.swapaxes(row_checksums, -1, -2), thresholds, correct)
+
+
+def _oracle_correct_matrix(matrix, checksums, thresholds):
+    """``correct_matrix`` rescanning for extremes after every pass."""
+    report = MatrixCorrectionReport()
+    col_report = None
+    if checksums.has_col():
+        col_report = _oracle_check_columns(matrix, checksums.col, thresholds)
+        report.used_column_side = True
+        report.column_report = col_report
+        report.detected += col_report.num_detected
+        report.corrected += col_report.num_corrected
+        report.aborted += col_report.num_aborted
+    needs_row_side = False
+    if checksums.has_row():
+        if not checksums.has_col():
+            needs_row_side = True
+        else:
+            residual = bool(thresholds.is_extreme(matrix).any())
+            needs_row_side = not (col_report.num_corrected > 0
+                                  and col_report.num_aborted == 0 and not residual)
+    if needs_row_side:
+        row_report = _oracle_check_rows(matrix, checksums.row, thresholds)
+        report.used_row_side = True
+        report.row_report = row_report
+        report.detected += row_report.num_detected
+        report.corrected += row_report.num_corrected
+        report.aborted += row_report.num_aborted
+        if checksums.has_col() and row_report.num_corrected > 0:
+            checksums.col = encode_column_checksums(matrix)
+            report.checksums_recomputed = True
+    report.residual_extreme = int(thresholds.is_extreme(matrix).sum())
+    return report
+
+
+#: Faults placed in "vector coordinates" (element, vector) of the checked
+#: side; the ``*_checksum`` kinds corrupt the maintained checksums instead.
+INJECTIONS = [
+    "none", "numeric", "nan", "+inf", "-inf", "near_inf", "two_extremes",
+    "numeric_and_inf", "consistent", "nan_checksum", "inf_checksum",
+    "inf_weighted_checksum",
+]
+SINGLE_VALUES = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf}
+LEADS = [(), (3,), (2, 3)]
+
+
+def _faulty_case(dtype, lead, injection, side):
+    """A protected ``lead + (7, 5)`` matrix, its checksums and the injection.
+
+    ``side`` is ``"col"``, ``"row"`` or ``"both"``; faults land on the
+    column vectors for ``"col"``/``"both"`` and on the row vectors for
+    ``"row"``.  Returns ``(matrix, col_checksums, row_checksums)``.
+    """
+    matrix = np.random.default_rng(len(lead)).normal(size=lead + (7, 5)).astype(dtype)
+    vec = matrix if side != "row" else np.swapaxes(matrix, -1, -2)
+    at = tuple(d - 1 for d in lead)
+    # fp16 cannot hold a near-INF magnitude: it overflows to INF.
+    near_inf = np.inf if dtype == np.float16 else 3e12
+    row = encode_row_checksums(matrix) if side != "col" else None
+    if injection == "consistent":
+        # Checksums derived from the already-corrupted data (case 4).
+        vec[at + (2, 1)] = near_inf
+    col = encode_column_checksums(matrix) if side != "row" else None
+    if injection == "numeric":
+        vec[at + (2, 1)] += 50.0
+    elif injection == "near_inf":
+        vec[at + (2, 1)] = -near_inf
+    elif injection in SINGLE_VALUES:
+        vec[at + (2, 1)] = SINGLE_VALUES[injection]
+    elif injection == "two_extremes":
+        vec[at + (1, 3)] = np.inf
+        vec[at + (4, 3)] = near_inf
+    elif injection == "numeric_and_inf":
+        vec[at + (0, 0)] += 50.0
+        vec[at + (3, 2)] = -np.inf
+    elif injection in ("nan_checksum", "inf_checksum"):
+        cs = col if side != "row" else np.swapaxes(row, -1, -2)
+        cs[at + (0, 1)] = np.nan if injection == "nan_checksum" else np.inf
+    elif injection == "inf_weighted_checksum":
+        # Only visible through the index ratio of a numeric fault beside it.
+        cs = col if side != "row" else np.swapaxes(row, -1, -2)
+        cs[at + (1, 4)] = -np.inf
+        vec[at + (3, 4)] += 50.0
+    return matrix, col, row
+
+
+def _assert_reports_equal(new, old):
+    for field in dataclasses.fields(ColumnCheckReport):
+        a, b = getattr(new, field.name), getattr(old, field.name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field.name
+
+
+class TestSinglePassDetectionEquivalence:
+    @pytest.mark.parametrize("injection", INJECTIONS)
+    @pytest.mark.parametrize("side", ["col", "row"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_check_matches_oracle(self, thresholds, dtype, side, injection):
+        check, oracle = ((check_columns, _oracle_check_columns) if side == "col"
+                         else (check_rows, _oracle_check_rows))
+        flagged = 0
+        for lead in LEADS:
+            for correct in (True, False):
+                matrix, col, row = _faulty_case(dtype, lead, injection, side)
+                cs = col if side == "col" else row
+                expected_matrix, expected_cs = matrix.copy(), cs.copy()
+                with np.errstate(all="ignore"):
+                    report = check(matrix, cs, thresholds, correct=correct)
+                    expected = oracle(expected_matrix, expected_cs, thresholds, correct)
+                _assert_reports_equal(report, expected)
+                assert matrix.tobytes() == expected_matrix.tobytes()
+                assert cs.tobytes() == expected_cs.tobytes()
+                flagged += report.num_detected
+        # Every injection but "none" must reach the flagged path.
+        assert (flagged > 0) == (injection != "none")
+
+    @pytest.mark.parametrize("injection", INJECTIONS)
+    @pytest.mark.parametrize("side", ["col", "row", "both"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_correct_matrix_matches_oracle(self, thresholds, dtype, side, injection):
+        for lead in LEADS:
+            matrix, col, row = _faulty_case(dtype, lead, injection, side)
+            state = ChecksumState(col=col, row=row)
+            expected_matrix = matrix.copy()
+            expected_state = state.copy()
+            with np.errstate(all="ignore"):
+                report = correct_matrix(matrix, state, thresholds)
+                expected = _oracle_correct_matrix(expected_matrix, expected_state, thresholds)
+            for name in ("detected", "corrected", "aborted", "used_column_side",
+                         "used_row_side", "residual_extreme", "checksums_recomputed"):
+                assert getattr(report, name) == getattr(expected, name), name
+            for name in ("column_report", "row_report"):
+                a, b = getattr(report, name), getattr(expected, name)
+                assert (a is None) == (b is None), name
+                if a is not None:
+                    _assert_reports_equal(a, b)
+            assert matrix.tobytes() == expected_matrix.tobytes()
+            for name in ("col", "row"):
+                a, b = getattr(state, name), getattr(expected_state, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert a.tobytes() == b.tobytes(), name

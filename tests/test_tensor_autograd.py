@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode autograd engine."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -325,3 +328,91 @@ class TestPostAccumulateGradHooks:
         (a * 2.0 + b * 3.0).sum().backward()
         assert sorted(order) == ["a", "b"]
         assert a.grad is not None and b.grad is not None
+
+
+def _recursive_topological_order(root):
+    """The textbook recursive post-order sort, kept as the order oracle."""
+    topo, visited = [], set()
+
+    def build(node):
+        if id(node) in visited:
+            return
+        visited.add(id(node))
+        for parent in node._parents:
+            build(parent)
+        topo.append(node)
+
+    build(root)
+    return topo
+
+
+def _bert_tiny_trainer():
+    from repro.data import SyntheticMRPC
+    from repro.models import build_model
+    from repro.training import Trainer
+
+    model = build_model("bert-base", size="tiny", rng=np.random.default_rng(0))
+    data = SyntheticMRPC(num_examples=8, max_seq_len=model.config.max_seq_len,
+                         vocab_size=model.config.vocab_size)
+    return Trainer(model), dict(data.encode(range(4)))
+
+
+class TestGraphWalk:
+    def test_graph_freed_when_backward_returns(self, rng):
+        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        w = Tensor(rng.normal(size=(8, 8)), requires_grad=True)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            hidden = ag.gelu(ag.matmul(x, w))
+            activation = weakref.ref(hidden.data)
+            loss = ag.sum(hidden * hidden)
+            del hidden
+            loss.backward()
+            del loss
+            # Reference counting alone must release the graph: no cycle may
+            # keep the activations of a finished backward alive.
+            assert activation() is None
+        finally:
+            if enabled:
+                gc.enable()
+        assert x.grad is not None and w.grad is not None
+
+    def test_train_step_leaves_no_cyclic_garbage(self):
+        trainer, batch = _bert_tiny_trainer()
+        trainer.train_step(batch)
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trainer.train_step(batch)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_deep_chain_backward(self):
+        x = Tensor(np.array([1.5, -0.5]), requires_grad=True)
+        y = x
+        for _ in range(5000):
+            y = y * 1.0001
+        y.sum().backward()
+        np.testing.assert_allclose(x.grad, np.full(2, 1.0001 ** 5000), rtol=1e-11)
+
+    def test_order_matches_recursive_sort_on_bert(self):
+        trainer, batch = _bert_tiny_trainer()
+        output = trainer.model(batch["input_ids"], attention_mask=batch["attention_mask"],
+                               labels=batch["labels"])
+        expected = _recursive_topological_order(output.loss)
+        assert len(expected) > 100
+        assert [id(n) for n in ag._topological_order(output.loss)] == [id(n) for n in expected]
+
+    def test_train_step_gradients_byte_identical_to_recursive_order(self, monkeypatch):
+        def step_grads():
+            trainer, batch = _bert_tiny_trainer()
+            trainer.train_step(batch)
+            return [p.grad.tobytes() for p in trainer.model.parameters()]
+
+        grads = step_grads()
+        monkeypatch.setattr(ag, "_topological_order", _recursive_topological_order)
+        assert step_grads() == grads

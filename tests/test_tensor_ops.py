@@ -139,6 +139,59 @@ class TestActivations:
         assert np.allclose(ops.tanh_backward(np.ones(5), out), numerical, rtol=1e-3, atol=1e-6)
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def _gelu_pow(x):
+    """GELU written with ``x**3``: the formula the kernel must keep matching."""
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x**3)))
+
+
+def _gelu_backward_pow(grad_out, x):
+    u = _GELU_C * (x + 0.044715 * x**3)
+    t = np.tanh(u)
+    du_dx = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
+    return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du_dx)
+
+
+class TestGeluMatchesPowFormula:
+    @pytest.fixture
+    def x(self):
+        magnitudes = np.logspace(-8, 3, 20001)
+        return np.concatenate([-magnitudes[::-1], magnitudes])
+
+    def test_forward_within_4_ulp(self, x):
+        # gelu = 0.5 * x * (1 + tanh(u)); the ulp is taken at the scale of
+        # that product, |x|, because 1 + tanh(u) cancels on the negative
+        # tail, where an ulp of the tiny result says nothing about the kernel.
+        diff = np.abs(ops.gelu(x) - _gelu_pow(x))
+        assert np.all(diff <= 4 * np.spacing(np.abs(x)))
+
+    def test_backward_within_4_ulp(self, x):
+        # Both terms of the derivative are O(1), so the scale is max(|g'|, 1).
+        expected = _gelu_backward_pow(np.ones_like(x), x)
+        diff = np.abs(ops.gelu_backward(np.ones_like(x), x) - expected)
+        assert np.all(diff <= 4 * np.spacing(np.maximum(np.abs(expected), 1.0)))
+
+    @pytest.mark.parametrize("kernel", ["gelu", "gelu_backward"])
+    def test_extreme_inputs_keep_their_value_class(self, kernel):
+        # Table 2 propagation: INF / NaN / overflowing inputs must leave GELU
+        # as the same class (inf / nan / finite, same sign) as before.
+        x = np.array([np.inf, -np.inf, np.nan, 6e102, -6e102, 3e154, -3e154,
+                      1e200, -1e200, 1.7e308, -1.7e308])
+        with np.errstate(all="ignore"):
+            if kernel == "gelu":
+                new, old = ops.gelu(x), _gelu_pow(x)
+            else:
+                new, old = ops.gelu_backward(np.ones_like(x), x), _gelu_backward_pow(1.0, x)
+
+        def value_class(v):
+            return [("nan" if np.isnan(e) else "inf" if np.isinf(e) else "finite",
+                     bool(np.signbit(e))) for e in v]
+
+        assert value_class(new) == value_class(old)
+
+
 class TestLayerNorm:
     def test_normalises_last_axis(self, rng):
         x = rng.normal(loc=3.0, scale=2.0, size=(4, 8))

@@ -11,7 +11,6 @@ from repro.utils.floatbits import (
     flip_bit,
     flip_exponent_msb,
     float_to_bits,
-    is_extreme,
     make_inf,
     make_nan,
     make_near_inf,
@@ -114,16 +113,6 @@ class TestValueFactories:
 
 
 class TestClassification:
-    def test_is_extreme_flags_inf_nan_near_inf(self):
-        data = np.array([1.0, np.inf, np.nan, 5e12, -3.0])
-        mask = is_extreme(data)
-        assert mask.tolist() == [False, True, True, True, False]
-
-    def test_is_extreme_respects_threshold(self):
-        data = np.array([5e9, 5e12])
-        assert is_extreme(data, near_inf_threshold=1e10).tolist() == [False, True]
-        assert is_extreme(data, near_inf_threshold=1e13).tolist() == [False, False]
-
     @pytest.mark.parametrize(
         "value,expected",
         [
