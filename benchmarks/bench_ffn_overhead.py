@@ -59,7 +59,7 @@ def train_once(scope):
     }
     if checker is not None:
         per_layer = SectionCostModel.checksum_gemm_dispatches_per_layer(
-            "fused", steady_state=False, scope=scope
+            steady_state=False, scope=scope
         )
         out.update(
             gemm_dispatches_measured=checker.dispatch_counts["gemm"],

@@ -13,10 +13,10 @@ Two complementary reproductions:
 
 The run additionally emits a machine-readable ``BENCH_fig7.json`` artifact
 (path overridable via the ``BENCH_FIG7_JSON`` environment variable) with the
-modelled overhead ratios plus the fused-vs-unfused kernel-schedule counters —
+modelled overhead ratios plus the fused engine's kernel-schedule counters —
 checksum GEMM dispatches, steady-state workspace allocations, weight-cache
-hits — which the CI perf smoke asserts on: fused dispatches strictly below
-the unfused schedule's, and zero steady-state hot-path allocations.
+hits — which the CI perf smoke asserts on: measured dispatches equal to the
+cost model's count, and zero steady-state hot-path allocations.
 """
 
 import json
@@ -27,24 +27,12 @@ import pytest
 
 from benchmarks.conftest import OVERHEAD_MODELS, make_batch, make_model
 from repro.analysis import format_percent, format_table
-from repro.core import (
-    VERIFICATION_MODE_CONFIGS,
-    ATTNChecker,
-    ATTNCheckerConfig,
-    SectionCostModel,
-)
+from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import get_config
 from repro.nn import ComposedHooks
 from repro.perfmodel import TrainingStepCostModel
 from repro.training import Trainer, TrainerConfig
-
-#: The historical per-visit kernel schedule (the pre-fusion baseline).
-LEGACY_SCHEDULE = {
-    "fuse_sibling_gemms": False,
-    "cache_weight_encodings": False,
-    "reuse_workspace": False,
-}
 
 #: Attention-block overheads reported in Figure 7 (left panel).
 PAPER_ATTENTION_OVERHEAD = {
@@ -86,66 +74,51 @@ def measured_cpu_overhead(model_name: str = "bert-base", steps: int = 3, backend
     return (protected - baseline) / baseline
 
 
-def measured_abft_seconds(backend: str, model_name: str = "bert-base", steps: int = 8,
-                          extra_config=None):
+def measured_abft_seconds(backend: str, model_name: str = "bert-base", steps: int = 8):
     """Best-case per-step ABFT wall-clock of one checker backend on this host.
 
     The min over several steps estimates the noise-free floor — the right
     statistic for comparing two implementations of the *same* checksum
     algebra, where the difference is fixed host-side dispatch work.
-    ``extra_config`` merges additional :class:`ATTNCheckerConfig` kwargs (the
-    kernel-schedule comparison passes ``LEGACY_SCHEDULE``).
     """
     model = make_model(model_name)
     batch = make_batch(model, n=8)
-    checker = ATTNChecker(ATTNCheckerConfig(backend=backend, **(extra_config or {})))
+    checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
     trainer.train_step(batch)  # warm-up
     return min(trainer.train_step(batch).abft_seconds for _ in range(steps))
 
 
 def kernel_schedule_counters(model_name: str = "bert-base", steps: int = 4):
-    """Dispatch/allocation counters of the fused vs the legacy schedule.
+    """Dispatch/allocation counters of the fused engine's kernel schedule.
 
     Runs a fixed-weight protected forward loop (model.eval(); no optimizer
     steps, so the weight-encoding cache reaches true steady state after the
-    warm-up pass) and reads the engine's own counters.  Also returns the
-    per-schedule outputs so the caller can assert the two schedules stayed
-    byte-identical while the dispatch counts diverged.
+    warm-up pass) and reads the engine's own counters.
     """
-    results = {}
-    for label, extra in (("fused", {}), ("unfused", LEGACY_SCHEDULE)):
-        model = make_model(model_name)
-        model.eval()
-        batch = make_batch(model, n=4, full_mask=True)
-        checker = ATTNChecker(ATTNCheckerConfig(**extra))
-        model.set_attention_hooks(checker)
-        # Warm-up: allocates the workspace slots and fills the weight cache.
+    model = make_model(model_name)
+    model.eval()
+    batch = make_batch(model, n=4, full_mask=True)
+    checker = ATTNChecker()
+    model.set_attention_hooks(checker)
+    # Warm-up: allocates the workspace slots and fills the weight cache.
+    model(batch["input_ids"], attention_mask=batch["attention_mask"])
+    workspace = checker.engine.workspace
+    workspace.reset_stats()
+    gemm_before = checker.dispatch_counts["gemm"]
+    for _ in range(steps):
         model(batch["input_ids"], attention_mask=batch["attention_mask"])
-        workspace = checker.engine.workspace
-        if workspace is not None:
-            workspace.reset_stats()
-        gemm_before = checker.dispatch_counts["gemm"]
-        outputs = []
-        for _ in range(steps):
-            logits = model(
-                batch["input_ids"], attention_mask=batch["attention_mask"]
-            ).logits.data
-            outputs.append(logits.copy())
-        model.set_attention_hooks(None)
-        results[label] = {
-            "gemm_dispatches": checker.dispatch_counts["gemm"] - gemm_before,
-            "steady_state_allocations": 0 if workspace is None else workspace.allocations,
-            "workspace": checker.workspace_stats(),
-            "weight_cache": checker.weight_cache_stats(),
-            "outputs": outputs,
-            "layer_visits": steps * model.config.num_layers,
-        }
-    return results
+    model.set_attention_hooks(None)
+    return {
+        "gemm_dispatches": checker.dispatch_counts["gemm"] - gemm_before,
+        "steady_state_allocations": workspace.allocations,
+        "workspace": checker.workspace_stats(),
+        "weight_cache": checker.weight_cache_stats(),
+        "layer_visits": steps * model.config.num_layers,
+    }
 
 
-def steady_state_checker_seconds(extra_config=None, model_name: str = "bert-base",
-                                 reps: int = 6):
+def steady_state_checker_seconds(model_name: str = "bert-base", reps: int = 6):
     """Min-floor per-pass checker time of a fixed-weight protected forward.
 
     The steady-state regime the fused schedule targets: weights unchanged
@@ -157,7 +130,7 @@ def steady_state_checker_seconds(extra_config=None, model_name: str = "bert-base
     model = make_model(model_name)
     model.eval()
     batch = make_batch(model, n=8)
-    checker = ATTNChecker(ATTNCheckerConfig(**(extra_config or {})))
+    checker = ATTNChecker()
     model.set_attention_hooks(checker)
     model(batch["input_ids"], attention_mask=batch["attention_mask"])  # warm-up
     per_pass = []
@@ -179,7 +152,7 @@ def measured_mode_path_seconds(mode: str, model_name: str = "bert-base", steps: 
     """
     model = make_model(model_name)
     batch = make_batch(model, n=8)
-    checker = ATTNChecker(ATTNCheckerConfig(**VERIFICATION_MODE_CONFIGS[mode]))
+    checker = ATTNChecker(ATTNCheckerConfig(verification_mode=mode))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
     trainer.train_step(batch)  # warm-up
     per_step = []
@@ -352,63 +325,34 @@ def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):
     """The kernel-schedule claim, counter-verified, plus the JSON artifact.
 
     The fused schedule (sibling-GEMM fusion + weight-encoding cache +
-    checksum workspace) must issue strictly fewer checksum GEMM dispatches
-    per layer visit than the historical schedule, allocate nothing on the
-    steady-state hot path, produce byte-identical outputs, and not regress
-    wall-clock.  Everything measured lands in ``BENCH_fig7.json`` for CI.
+    checksum workspace) must issue exactly the cost model's checksum GEMM
+    dispatches per layer visit and allocate nothing on the steady-state hot
+    path.  Everything measured lands in ``BENCH_fig7.json`` for CI.
     """
-    def compare():
-        counters = kernel_schedule_counters()
-        # Interleave the wall-clock trials so shared-host drift hits both
-        # schedules alike; keep the min floor of three each.  The timed
-        # regime is the steady-state one the caches target (fixed weights);
-        # see steady_state_checker_seconds.
-        fused_trials, legacy_trials = [], []
-        for _ in range(3):
-            fused_trials.append(steady_state_checker_seconds())
-            legacy_trials.append(steady_state_checker_seconds(LEGACY_SCHEDULE))
-        return counters, min(fused_trials), min(legacy_trials)
+    def measure():
+        return kernel_schedule_counters(), steady_state_checker_seconds()
 
-    counters, fused_seconds, legacy_seconds = benchmark.pedantic(
-        compare, rounds=1, iterations=1
-    )
-    fused, unfused = counters["fused"], counters["unfused"]
+    fused, fused_seconds = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     # -- hard, deterministic gates -------------------------------------------
-    # Byte-identical outputs between the schedules, every steady-state pass.
-    for fused_logits, legacy_logits in zip(fused["outputs"], unfused["outputs"]):
-        assert np.array_equal(fused_logits, legacy_logits, equal_nan=True)
-    # Fewer dispatches: measured counters, and both agree with the model.
-    assert fused["gemm_dispatches"] < unfused["gemm_dispatches"]
+    # Measured dispatches agree exactly with the cost model.
     per_layer_fused = sum(
-        SectionCostModel.checksum_gemm_dispatches_per_layer("fused").values()
-    )
-    per_layer_unfused = sum(
-        SectionCostModel.checksum_gemm_dispatches_per_layer("unfused").values()
+        SectionCostModel.checksum_gemm_dispatches_per_layer().values()
     )
     assert fused["gemm_dispatches"] == per_layer_fused * fused["layer_visits"]
-    assert unfused["gemm_dispatches"] == per_layer_unfused * unfused["layer_visits"]
     # Zero steady-state hot-path allocations, and the weight cache served
     # every steady-state visit from cache.
     assert fused["steady_state_allocations"] == \
         SectionCostModel.steady_state_hot_path_allocations() == 0
     assert fused["workspace"]["reuses"] > 0
     assert fused["weight_cache"]["hits"] > 0
-    # Wall-clock: at or below the legacy schedule (same algebra, less
-    # dispatch/allocation work); 10% noise allowance over the min floor, as
-    # in the fused-vs-per-GEMM comparison above.  The deterministic gates
-    # above (dispatch counters, allocation counters) carry the regression
-    # protection; this guards against the schedule trading dispatches for
-    # slower kernels.
-    assert fused_seconds <= legacy_seconds * 1.10
 
     report(
         "Figure 7 (kernel schedule, CPU/NumPy, bert-base tiny): checksum GEMM "
-        f"dispatches/visit fused = {per_layer_fused}, unfused = {per_layer_unfused}; "
+        f"dispatches/visit = {per_layer_fused}; "
         f"steady-state workspace allocations = {fused['steady_state_allocations']} "
         f"(reuses = {fused['workspace']['reuses']}); steady-state per-pass checker "
-        f"time fused = {fused_seconds * 1e3:.2f} ms, legacy = {legacy_seconds * 1e3:.2f} ms "
-        f"({(legacy_seconds - fused_seconds) / legacy_seconds * 100.0:+.1f}% saved)"
+        f"time = {fused_seconds * 1e3:.2f} ms"
     )
 
     # -- machine-readable artifact -------------------------------------------
@@ -432,11 +376,6 @@ def test_fig7_fused_kernel_schedule_counters_and_json(benchmark, report):
                 "workspace": fused["workspace"],
                 "weight_cache": fused["weight_cache"],
                 "abft_seconds": fused_seconds,
-            },
-            "unfused": {
-                "gemm_dispatches_per_layer": per_layer_unfused,
-                "gemm_dispatches_measured": unfused["gemm_dispatches"],
-                "abft_seconds": legacy_seconds,
             },
         },
         "layer_visits": fused["layer_visits"],

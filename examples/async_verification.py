@@ -37,11 +37,9 @@ from repro import (
 from repro.analysis import format_table
 from repro.data import SyntheticMRPC
 
-from repro.core import VERIFICATION_MODE_CONFIGS
+from repro.core import VERIFICATION_MODES
 
 STEPS = 4
-
-MODES = VERIFICATION_MODE_CONFIGS
 
 
 def run(model_name: str, mode: str):
@@ -56,7 +54,7 @@ def run(model_name: str, mode: str):
     injector = FaultInjector(
         [FaultSpec(matrix="AS", error_type="numeric")], rng=np.random.default_rng(13)
     )
-    checker = ATTNChecker(ATTNCheckerConfig(**MODES[mode]))
+    checker = ATTNChecker(ATTNCheckerConfig(verification_mode=mode))
     trainer = Trainer(
         model,
         # Re-execute a step whose (stale) verification came back dirty — the
@@ -85,7 +83,7 @@ def run(model_name: str, mode: str):
 def main() -> int:
     model_name = sys.argv[1] if len(sys.argv) > 1 else "bert-base"
     rows = []
-    for mode in MODES:
+    for mode in VERIFICATION_MODES:
         r = run(model_name, mode)
         rows.append([
             mode, r["detections"], r["corrections"], r["stale"], r["reexecuted"],

@@ -35,7 +35,6 @@ from repro.core import (
     CHECKER_BACKENDS,
     PROTECT_SCOPES,
     VERIFICATION_MODES,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     ErrorRates,
@@ -86,7 +85,7 @@ def run_quickstart(args: argparse.Namespace) -> str:
         rng=np.random.default_rng(args.seed),
     )
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=args.backend, async_verification=args.async_verification,
+        backend=args.backend, verification_mode=args.verification_mode,
         array_backend=args.array_backend, protect_scope=args.protect_scope,
     ))
     model.eval()
@@ -207,7 +206,7 @@ def run_verification_modes(args: argparse.Namespace) -> str:
                 rng=np.random.default_rng(args.seed + trial),
             )
             checker = ATTNChecker(ATTNCheckerConfig(
-                array_backend=args.array_backend, **VERIFICATION_MODE_CONFIGS[mode],
+                array_backend=args.array_backend, verification_mode=mode,
             ))
             model.set_attention_hooks(ComposedHooks([injector, checker]))
             model(batch["input_ids"], attention_mask=batch["attention_mask"],
@@ -264,7 +263,7 @@ def run_train(args: argparse.Namespace) -> str:
     from repro.training import Trainer, TrainerConfig
 
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=args.backend, async_verification=args.async_verification,
+        backend=args.backend, verification_mode=args.verification_mode,
         array_backend=args.array_backend, protect_scope=args.protect_scope,
     ))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4), checker=checker)
@@ -606,9 +605,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default) or the per-GEMM reference implementation")
     parser.add_argument("--protect-scope", default="attention", choices=list(PROTECT_SCOPES),
                         help="protected-section scope: 'attention' (default, the "
-                             "paper's three sections), 'attention+ffn' (adds the "
-                             "FF1/FF2 feed-forward sections) or 'full' (every "
-                             "registered block)")
+                             "paper's three sections) or 'attention+ffn' (adds the "
+                             "FF1/FF2 feed-forward sections)")
     parser.add_argument("--array-backend", default="auto", type=_array_backend_name,
                         metavar="{auto," + ",".join(KNOWN_ARRAY_BACKENDS) + "}",
                         help="array library the checksum chain runs on: 'auto' "
@@ -623,7 +621,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "activations, gradients and optimizer state are "
                              "device-resident on that backend; default is the "
                              "pure-NumPy substrate")
-    parser.add_argument("--async", dest="async_verification", action="store_true",
+    parser.add_argument("--async", dest="verification_mode", action="store_const",
+                        const="async", default="immediate",
                         help="verify boundary checksums asynchronously on a worker "
                              "thread, off the critical path (fused backend only)")
     parser.add_argument("--steps", type=int, default=4,

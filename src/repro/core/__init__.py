@@ -33,7 +33,7 @@ library per checker.
     The protection-section registry: the paper's three attention sections
     S_AS, S_CL, S_O with checksum passing (Section 4.4), the whole-model
     extension covering the FFN GEMMs (``FF1`` / ``FF2``), the protection
-    scopes (``attention`` / ``attention+ffn`` / ``full``) and the cost
+    scopes (``attention`` / ``attention+ffn``) and the cost
     accounting for all of them.
 ``engine``
     :class:`ProtectionEngine` — the fused section-level checksum-passing
@@ -90,7 +90,6 @@ from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.patterns import ErrorPattern, classify_error_pattern, classify_error_types
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
 from repro.core.protected_gemm import (
-    ProtectedGemmChain,
     ProtectedGemmResult,
     ProtectedMatmul,
     protected_matmul,
@@ -107,7 +106,6 @@ from repro.core.engine import ProtectionEngine, SectionOutcome, WeightEncodingCa
 from repro.core.attention_checker import (
     CHECKER_BACKENDS,
     VERIFICATION_MODES,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     CheckerStats,
@@ -157,7 +155,6 @@ __all__ = [
     "MatrixCorrectionReport",
     "protected_matmul",
     "ProtectedMatmul",
-    "ProtectedGemmChain",
     "ProtectedGemmResult",
     "ProtectionSection",
     "PROTECTION_SECTIONS",
@@ -172,7 +169,6 @@ __all__ = [
     "CheckerStats",
     "CHECKER_BACKENDS",
     "VERIFICATION_MODES",
-    "VERIFICATION_MODE_CONFIGS",
     "ErrorRates",
     "OperationVulnerability",
     "SectionReliabilityModel",

@@ -33,7 +33,7 @@ deferred     encode/carry only; one batched  detection only               one st
 async        encode/carry + queue swap; a    detection + bounded-         ``max_pending_
              worker thread verifies off      staleness correction of      steps`` steps
              the critical path               the retained boundary        (backpressure)
-             (``async_verification=True``)   matrix; dirty outcomes
+                                             matrix; dirty outcomes
                                              flagged ``stale``
 ===========  ==============================  ===========================  ===============
 
@@ -85,6 +85,7 @@ from repro.core.checksums import (
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
 from repro.core.eec_abft import check_columns, check_rows
 from repro.core.engine import (
+    VERIFICATION_MODES,
     ProtectionEngine,
     SectionOutcome,
     request_dirty_from_report,
@@ -103,7 +104,6 @@ from repro.utils.timing import TimingRegistry, XFER_PREFIX
 __all__ = [
     "CHECKER_BACKENDS",
     "VERIFICATION_MODES",
-    "VERIFICATION_MODE_CONFIGS",
     "ATTNCheckerConfig",
     "SectionStats",
     "CheckerStats",
@@ -113,16 +113,6 @@ __all__ = [
 #: Selectable mechanics backends.
 CHECKER_BACKENDS = ("fused", "per_gemm")
 
-#: Verification modes of the fused backend (see the module docstring table).
-VERIFICATION_MODES = ("immediate", "deferred", "async")
-
-#: Canonical mode-name -> :class:`ATTNCheckerConfig` kwargs, the single place
-#: the CLI, benchmarks and tests translate a mode name into a configuration.
-VERIFICATION_MODE_CONFIGS = {
-    "immediate": {},
-    "deferred": {"defer_verification": True},
-    "async": {"async_verification": True},
-}
 
 
 @dataclass
@@ -145,9 +135,7 @@ class ATTNCheckerConfig:
           triple, bit-for-bit identical to the pre-generalization checker;
         * ``"attention+ffn"`` — additionally protect the feed-forward GEMMs
           through the single-GEMM sections ``FF1`` (boundary ``H``) and
-          ``FF2`` (boundary ``FO``);
-        * ``"full"`` — every registered section (currently the same set as
-          ``"attention+ffn"``; reserved for future blocks).
+          ``FF2`` (boundary ``FO``) — every registered section.
 
         Hooks from out-of-scope blocks are ignored, so a model whose
         ``FeedForward`` modules are instrumented can still run an
@@ -169,18 +157,24 @@ class ATTNCheckerConfig:
         names raise :class:`ValueError` listing the known backends; known
         names whose library is missing raise
         :class:`repro.backend.BackendUnavailable` listing what is installed.
-    defer_verification:
-        Fused backend only: queue boundary verifications and run them in one
-        batched pass per step at :meth:`ATTNChecker.end_step` (detection only;
-        see :mod:`repro.core.engine`).
-    async_verification:
-        Fused backend only, mutually exclusive with ``defer_verification``:
-        snapshot each step's queued boundary verifications at
-        :meth:`ATTNChecker.end_step` and verify them on a worker thread, off
-        the training critical path, with bounded-staleness correction of the
-        retained boundary matrices (see :mod:`repro.core.engine`).  Results
-        are folded into :attr:`ATTNChecker.stats` as they are harvested at
-        subsequent ``end_step`` calls or at :meth:`ATTNChecker.drain`.
+    verification_mode:
+        One of :data:`VERIFICATION_MODES` (see the module docstring table and
+        :mod:`repro.core.engine`):
+
+        * ``"immediate"`` (default) — verify and correct at each section
+          boundary, inside the forward pass;
+        * ``"deferred"`` — queue boundary verifications and run them in one
+          batched pass per step at :meth:`ATTNChecker.end_step` (detection
+          only);
+        * ``"async"`` — snapshot each step's queued boundary verifications
+          at :meth:`ATTNChecker.end_step` and verify them on a worker
+          thread, off the training critical path, with bounded-staleness
+          correction of the retained boundary matrices.  Results are folded
+          into :attr:`ATTNChecker.stats` as they are harvested at subsequent
+          ``end_step`` calls or at :meth:`ATTNChecker.drain`.
+
+        The queued modes need the ``"fused"`` backend; the per-GEMM
+        reference verifies inline at every GEMM.
     max_pending_steps:
         Async only: bound on in-flight submitted step batches; ``end_step``
         blocks once the bound is reached (backpressure), which is also the
@@ -198,21 +192,6 @@ class ATTNCheckerConfig:
         :func:`repro.core.correction.correct_matrix`).
     collect_timing:
         Record wall-clock time per ABFT phase in :attr:`ATTNChecker.timers`.
-    fuse_sibling_gemms / cache_weight_encodings / reuse_workspace:
-        The fused engine's hot-path kernel schedule (see
-        :mod:`repro.core.engine`): carry ``cs_x`` through ``[W_Q | W_K]`` as
-        one concatenated GEMM, cache weight-derived encodings per weight
-        version, and serve checksum intermediates from a reusable
-        :class:`~repro.core.workspace.ChecksumWorkspace`.  All default on;
-        setting all three ``False`` reproduces the historical per-visit
-        schedule exactly (the baseline of the fused-kernel equivalence tests
-        and the Figure-7 dispatch benchmark).  Sibling fusion only engages
-        while the weight cache is on — the concatenated operand is
-        cache-resident, and rebuilding it per visit would cost more than the
-        dispatch it saves — so ``fuse_sibling_gemms=True`` with
-        ``cache_weight_encodings=False`` runs the per-side schedule.
-        Ignored by the per-GEMM reference backend, which always runs the
-        historical sequence.
     """
 
     thresholds: ABFTThresholds = field(default_factory=ABFTThresholds)
@@ -220,15 +199,11 @@ class ATTNCheckerConfig:
     protect_scope: str = "attention"
     backend: str = "fused"
     array_backend: str = "auto"
-    defer_verification: bool = False
-    async_verification: bool = False
+    verification_mode: str = "immediate"
     max_pending_steps: int = 2
     repair_operands: bool = True
     refresh_checksums: bool = True
     collect_timing: bool = True
-    fuse_sibling_gemms: bool = True
-    cache_weight_encodings: bool = True
-    reuse_workspace: bool = True
 
     def __post_init__(self) -> None:
         if self.protect_scope not in PROTECT_SCOPES:
@@ -252,33 +227,21 @@ class ATTNCheckerConfig:
             # Fail fast with the registry's helpful unknown-vs-uninstalled
             # message instead of at the first protected forward pass.
             get_backend(self.array_backend)
-        if self.defer_verification and self.backend != "fused":
-            raise ValueError("defer_verification requires the 'fused' backend")
-        if self.async_verification:
-            if self.backend != "fused":
-                raise ValueError(
-                    "async_verification requires the 'fused' backend; the per-GEMM "
-                    "reference verifies inline at every GEMM and has no checksum "
-                    "queue to hand to a worker"
-                )
-            if self.defer_verification:
-                raise ValueError(
-                    "async_verification and defer_verification are mutually exclusive; "
-                    "pick one verification mode (async already batches per step)"
-                )
+        if self.verification_mode not in VERIFICATION_MODES:
+            raise ValueError(
+                f"unknown verification_mode {self.verification_mode!r}; "
+                f"expected one of {VERIFICATION_MODES}"
+            )
+        if self.verification_mode != "immediate" and self.backend != "fused":
+            raise ValueError(
+                f"verification_mode={self.verification_mode!r} requires the 'fused' "
+                "backend; the per-GEMM reference verifies inline at every GEMM and "
+                "has no checksum queue to flush or hand to a worker"
+            )
         if not isinstance(self.max_pending_steps, int) or self.max_pending_steps < 1:
             raise ValueError(
                 f"max_pending_steps must be a positive integer, got {self.max_pending_steps!r}"
             )
-
-    @property
-    def verification_mode(self) -> str:
-        """Which of :data:`VERIFICATION_MODES` this configuration selects."""
-        if self.async_verification:
-            return "async"
-        if self.defer_verification:
-            return "deferred"
-        return "immediate"
 
     @property
     def active_sections(self) -> Dict[str, Any]:
@@ -815,13 +778,9 @@ class ATTNChecker(AttentionHooks):
                 refresh_checksums=self.config.refresh_checksums,
                 repair_operands=self.config.repair_operands,
                 timers=self.timers,
-                deferred=self.config.defer_verification,
-                asynchronous=self.config.async_verification,
+                verification_mode=self.config.verification_mode,
                 max_pending_steps=self.config.max_pending_steps,
                 array_backend=self.array_backend,
-                fuse_sibling_gemms=self.config.fuse_sibling_gemms,
-                cache_weight_encodings=self.config.cache_weight_encodings,
-                reuse_workspace=self.config.reuse_workspace,
             )
             self._reference: Optional[_PerGemmReferenceBackend] = None
         else:
@@ -853,14 +812,15 @@ class ATTNChecker(AttentionHooks):
 
     def workspace_stats(self) -> Dict[str, int]:
         """Allocation/reuse counters of the critical-path checksum workspace
-        (all zeros when ``reuse_workspace`` is off or backend is per-GEMM)."""
-        if self.engine is None or self.engine.workspace is None:
+        (all zeros for the per-GEMM backend)."""
+        if self.engine is None:
             return {"slots": 0, "allocations": 0, "reuses": 0, "bytes_allocated": 0}
         return self.engine.workspace.stats()
 
     def weight_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the weight-encoding cache (zeros when off)."""
-        if self.engine is None or self.engine.weight_cache is None:
+        """Hit/miss counters of the weight-encoding cache (zeros for the
+        per-GEMM backend)."""
+        if self.engine is None:
             return {"entries": 0, "hits": 0, "misses": 0}
         return self.engine.weight_cache.stats()
 
@@ -1025,11 +985,12 @@ class ATTNChecker(AttentionHooks):
         """
         if self.engine is None:
             return []
-        if self.config.async_verification:
+        mode = self.config.verification_mode
+        if mode == "async":
             with self.timers.measure("submit/async"):
                 self.engine.submit_step()
             outcomes = self.engine.harvest()
-        elif self.config.defer_verification:
+        elif mode == "deferred":
             outcomes = self.engine.flush()
         else:
             return []
@@ -1046,11 +1007,12 @@ class ATTNChecker(AttentionHooks):
         """
         if self.engine is None:
             return []
-        if self.config.async_verification:
+        mode = self.config.verification_mode
+        if mode == "async":
             with self.timers.measure("submit/async"):
                 self.engine.submit_step()
             outcomes = self.engine.drain()
-        elif self.config.defer_verification:
+        elif mode == "deferred":
             outcomes = self.engine.flush()
         else:
             return []
@@ -1137,10 +1099,6 @@ class ATTNChecker(AttentionHooks):
         off-critical-path claim says should be all that remains.
         """
         return self.timers.total(exclude="async/")
-
-    def async_verification_seconds(self) -> float:
-        """Wall-clock the async worker spent verifying/repairing (0 otherwise)."""
-        return self.timers.total(prefix="async/")
 
     def section_overhead_seconds(self) -> Dict[str, float]:
         """Wall-clock ABFT time per protection section (critical path only)."""

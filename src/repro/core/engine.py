@@ -105,37 +105,34 @@ total checker time.
 
 Hot-path kernel schedule
 ------------------------
-Three dispatch/allocation optimisations (all on by default, all
-individually revertible to the historical schedule, which stays available
-for the equivalence tests and as the benchmark baseline):
+The fused engine runs one dispatch/allocation schedule:
 
-``fuse_sibling_gemms``
-    ``W_Q`` and ``W_K`` consume the *same* carried checksum ``cs_x``, so the
-    two per-projection checksum GEMMs of :math:`S_{AS}` fuse into one GEMM
-    against the concatenated operand ``[W_Q | W_K]`` (split back into the Q
-    and K halves afterwards — pure axis-split views, no copy), and the two
-    bias adjustments collapse into one vectorised in-place add of the
-    concatenated float64 bias row.  This is the paper's strided-batched
-    fusion argument (§4): fewer, larger launches for the same algebra.
-``cache_weight_encodings``
-    Everything derived *from weights only* — ``rowcs(W_V)``, the fused
-    ``[W_Q | W_K]`` operand, the concatenated/summed bias terms — is cached
-    per (layer, kind) and reused until the weights change.  Validity is a
-    version check against :func:`repro.utils.versioning.weights_version`
-    (bumped by ``Optimizer.step`` and ``Module.load_state_dict``) *plus* an
-    identity check on the source arrays, so weight-side encode work runs
-    once per weight version instead of once per layer visit.  Code that
-    mutates weight storage in place outside those two paths must call
-    :meth:`ProtectionEngine.invalidate_weight_cache`.
-``reuse_workspace``
-    Checksum intermediates live in a
-    :class:`~repro.core.workspace.ChecksumWorkspace` arena of named
-    shape/dtype/device-keyed buffers filled through the namespaces'
-    ``out=`` contract: after one warm-up visit the steady-state hot path
-    allocates no managed buffers.  Checksums that outlive the section visit (the
-    deferred/async queues) deliberately bypass the arena, and the batched
-    verification pass uses a second arena owned by whichever single thread
-    runs it — workspace buffers are never aliased by retained state.
+* **Sibling fusion.** ``W_Q`` and ``W_K`` consume the *same* carried
+  checksum ``cs_x``, so the two per-projection checksum GEMMs of
+  :math:`S_{AS}` run as one GEMM against the concatenated operand
+  ``[W_Q | W_K]`` (split back into the Q and K halves afterwards — pure
+  axis-split views, no copy), and the two bias adjustments collapse into one
+  vectorised in-place add of the concatenated float64 bias row.  This is the
+  paper's strided-batched fusion argument (§4): fewer, larger launches for
+  the same algebra.
+* **Weight-encoding cache.** Everything derived *from weights only* —
+  ``rowcs(W_V)``, the fused ``[W_Q | W_K]`` operand, the concatenated/summed
+  bias terms — is cached per (layer, kind) and reused until the weights
+  change.  Validity is a version check against
+  :func:`repro.utils.versioning.weights_version` (bumped by
+  ``Optimizer.step`` and ``Module.load_state_dict``) *plus* an identity check
+  on the source arrays, so weight-side encode work runs once per weight
+  version instead of once per layer visit.  Code that mutates weight storage
+  in place outside those two paths must call
+  :meth:`ProtectionEngine.invalidate_weight_cache`.
+* **Workspace reuse.** Checksum intermediates live in a
+  :class:`~repro.core.workspace.ChecksumWorkspace` arena of named
+  shape/dtype/device-keyed buffers filled through the namespaces' ``out=``
+  contract: after one warm-up visit the steady-state hot path allocates no
+  managed buffers.  Checksums that outlive the section visit (the
+  deferred/async queues) deliberately bypass the arena, and the batched
+  verification pass uses a second arena owned by whichever single thread
+  runs it — workspace buffers are never aliased by retained state.
 
 ``dispatch_counts`` tracks the checksum GEMM/einsum launches (``"gemm"``)
 and verification passes (``"detect"``) the engine actually issued — the
@@ -157,14 +154,12 @@ from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 from repro.backend import ArrayBackend, backend_of
 from repro.core.checksums import (
     ChecksumState,
-    adjust_column_checksums_for_bias,
     checksum_weights,
     encode_column_checksums,
     encode_per_head_row_checksums_of_weight,
     encode_row_checksums,
     merge_head_column_checksums,
     split_head_column_checksums,
-    update_column_checksums_through_gemm,
     update_column_checksums_with_appended_rows,
 )
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
@@ -177,12 +172,17 @@ from repro.utils.timing import TimingRegistry, XFER_D2H, XFER_H2D
 from repro.utils.versioning import weights_version
 
 __all__ = [
+    "VERIFICATION_MODES",
     "SectionOutcome",
     "ProtectionEngine",
     "WeightEncodingCache",
     "fold_request_dirty",
     "request_dirty_from_report",
 ]
+
+
+#: Verification modes of the fused engine (see the module docstring).
+VERIFICATION_MODES = ("immediate", "deferred", "async")
 
 
 def fold_request_dirty(dirty: Optional[Any], mask: Any) -> Optional[Any]:
@@ -366,11 +366,8 @@ class ProtectionEngine:
         reporting is backend-agnostic.  The async worker records under the
         same labels prefixed ``"async/"``; adoption / write-back copies of a
         pinned engine record under ``"xfer/h2d"`` / ``"xfer/d2h"``.
-    deferred:
-        Select the ``deferred`` verification mode (see module docstring).
-    asynchronous:
-        Select the ``async`` verification mode.  Mutually exclusive with
-        ``deferred``.
+    verification_mode:
+        One of :data:`VERIFICATION_MODES` (see the module docstring).
     max_pending_steps:
         Async only: bound on in-flight submitted step batches.
         :meth:`submit_step` blocks once the bound is reached, which both
@@ -380,18 +377,6 @@ class ProtectionEngine:
         arrays.  An :class:`~repro.backend.ArrayBackend` instance pins the
         checksum chain to that library: foreign section outputs are adopted
         (``xfer/h2d``) and repaired values written back (``xfer/d2h``).
-    fuse_sibling_gemms:
-        Carry ``cs_x`` through ``[W_Q | W_K]`` as one concatenated GEMM and
-        apply both bias adjustments as one fused in-place add (see the
-        module docstring).  ``False`` restores the historical two-GEMM
-        schedule (the equivalence-test / benchmark baseline).
-    cache_weight_encodings:
-        Cache weight-derived encodings per (layer, kind), keyed by the
-        global weights version plus source-array identity.
-    reuse_workspace:
-        Serve checksum intermediates from a :class:`ChecksumWorkspace`
-        arena (zero steady-state hot-path allocations) instead of fresh
-        per-visit allocations.
     """
 
     def __init__(
@@ -400,42 +385,33 @@ class ProtectionEngine:
         refresh_checksums: bool = True,
         repair_operands: bool = True,
         timers: Optional[TimingRegistry] = None,
-        deferred: bool = False,
-        asynchronous: bool = False,
+        verification_mode: str = "immediate",
         max_pending_steps: int = 2,
         array_backend: Optional[ArrayBackend] = None,
-        fuse_sibling_gemms: bool = True,
-        cache_weight_encodings: bool = True,
-        reuse_workspace: bool = True,
     ) -> None:
-        if deferred and asynchronous:
-            raise ValueError("deferred and asynchronous verification are mutually exclusive")
+        if verification_mode not in VERIFICATION_MODES:
+            raise ValueError(
+                f"unknown verification_mode {verification_mode!r}; "
+                f"expected one of {VERIFICATION_MODES}"
+            )
         if max_pending_steps < 1:
             raise ValueError(f"max_pending_steps must be >= 1, got {max_pending_steps}")
         self.thresholds = thresholds or ABFTThresholds()
         self.refresh_checksums = refresh_checksums
         self.repair_operands = repair_operands
         self.timers = timers if timers is not None else TimingRegistry()
-        self.deferred = deferred
-        self.asynchronous = asynchronous
+        self.verification_mode = verification_mode
         self.max_pending_steps = max_pending_steps
         self.array_backend = array_backend
-        self.fuse_sibling_gemms = fuse_sibling_gemms
-        #: Weight-derived encoding cache (``None`` when disabled).
-        self.weight_cache: Optional[WeightEncodingCache] = (
-            WeightEncodingCache() if cache_weight_encodings else None
-        )
-        #: Critical-path intermediate arena (``None`` when disabled).
-        self.workspace: Optional[ChecksumWorkspace] = (
-            ChecksumWorkspace() if reuse_workspace else None
-        )
+        #: Weight-derived encoding cache.
+        self.weight_cache = WeightEncodingCache()
+        #: Critical-path intermediate arena.
+        self.workspace = ChecksumWorkspace()
         # The batched verification pass runs on exactly one thread at a time
         # (the caller in deferred mode, the worker in async mode), but that
         # thread is not the critical-path one — it gets its own arena so the
         # two never share buffers.
-        self._batch_workspace: Optional[ChecksumWorkspace] = (
-            ChecksumWorkspace() if reuse_workspace else None
-        )
+        self._batch_workspace = ChecksumWorkspace()
         #: Checksum GEMM/einsum launches ("gemm") and verification passes
         #: ("detect") actually dispatched.  "gemm" counts only critical-path
         #: encode/carry launches; "detect" is also incremented by the batched
@@ -482,12 +458,9 @@ class ProtectionEngine:
             self._inflight = 0
             self._epoch = 0
             self._failure = None
-        if self.weight_cache is not None:
-            self.weight_cache.clear()
-        if self.workspace is not None:
-            self.workspace.clear()
-        if self._batch_workspace is not None:
-            self._batch_workspace.clear()
+        self.weight_cache.clear()
+        self.workspace.clear()
+        self._batch_workspace.clear()
         self.dispatch_counts = {"gemm": 0, "detect": 0}
 
     def invalidate_weight_cache(self) -> None:
@@ -497,8 +470,7 @@ class ProtectionEngine:
         instrumented paths (``Optimizer.step`` / ``Module.load_state_dict``),
         which bump the global weights version themselves.
         """
-        if self.weight_cache is not None:
-            self.weight_cache.clear()
+        self.weight_cache.clear()
 
     def close(self) -> None:
         """Join the async worker thread (idempotent; engine stays usable).
@@ -541,11 +513,9 @@ class ProtectionEngine:
 
     # -- workspace / cache plumbing ---------------------------------------------
 
-    def _buf(self, name: str, shape: Tuple[int, ...], xp: Any, dtype: Any = None) -> Optional[Any]:
-        """A reusable float64 workspace buffer, or ``None`` with workspace off."""
-        if self.workspace is None:
-            return None
-        return self.workspace.request(name, shape, xp.float64 if dtype is None else dtype, xp)
+    def _buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Any:
+        """A reusable float64 workspace buffer."""
+        return self.workspace.request(name, shape, xp.float64, xp)
 
     def _transient_buf(self, name: str, shape: Tuple[int, ...], xp: Any) -> Optional[Any]:
         """Workspace buffer for checksums that may outlive the section visit.
@@ -554,21 +524,15 @@ class ProtectionEngine:
         after later layers (and steps) have run — a reusable buffer would be
         overwritten under the queue, so queued modes always allocate fresh.
         """
-        if self.deferred or self.asynchronous:
+        if self.verification_mode != "immediate":
             return None
         return self._buf(name, shape, xp)
 
     def _cached_weight(self, key: tuple, sources: tuple, builder) -> Any:
-        if self.weight_cache is None:
-            return builder()
         return self.weight_cache.lookup(key, sources, builder)
 
     def _stack_batch(self, name: str, arrays: List[Any], xp: Any) -> Any:
-        """Stack a verification group, into a batch-workspace buffer if on."""
-        if self._batch_workspace is None:
-            # Allocating fallback for the workspace-off configuration.
-            # reprolint: disable=WS001
-            return xp.stack(arrays)
+        """Stack a verification group into a batch-workspace buffer."""
         first = arrays[0]
         shape = (len(arrays),) + tuple(first.shape)
         out = self._batch_workspace.request(name, shape, first.dtype, xp)
@@ -717,7 +681,7 @@ class ProtectionEngine:
         backend: ArrayBackend,
     ) -> None:
         """Verify ``out`` now, or queue it for a batched verification pass."""
-        if self.deferred or self.asynchronous:
+        if self.verification_mode != "immediate":
             self._queue.append(
                 _DeferredCheck(ctx.section, ctx.layer_index, ctx.step, out,
                                checksums, backend=backend)
@@ -749,6 +713,13 @@ class ProtectionEngine:
         xp = backend.namespace_for(out)
         x, w_q, w_k = ops["x"], ops["w_q"], ops["w_k"]
         bias_q, bias_k = ops.get("bias_q"), ops.get("bias_k")
+        if (bias_q is None) != (bias_k is None):
+            # MultiHeadAttention biases the Q and K projections together; the
+            # fused [W_Q | W_K] carry adds both bias rows as one.
+            raise ValueError(
+                "S_AS needs both or neither of bias_q / bias_k, got only "
+                f"{'bias_q' if bias_q is not None else 'bias_k'}"
+            )
         num_rows = x.shape[-2]
         lead = tuple(x.shape[:-2])
         outcome = SectionOutcome(section="AS", layer_index=ctx.layer_index, step=ctx.step)
@@ -772,56 +743,39 @@ class ProtectionEngine:
             # Sibling fusion: W_Q and W_K consume the same carried checksum,
             # so one GEMM against the cached concatenated operand [W_Q | W_K]
             # replaces the two per-projection checksum GEMMs; the Q/K halves
-            # are recovered as axis-split views (no copy).  The fusion
-            # *requires* the weight cache — rebuilding the O(D^2) concatenated
-            # operand every visit would cost more than the dispatch it saves —
-            # and mixed presence of exactly one bias (never produced by
-            # MultiHeadAttention) falls back to the per-side schedule.
-            if (
-                self.fuse_sibling_gemms
-                and self.weight_cache is not None
-                and (bias_q is None) == (bias_k is None)
-            ):
-                # Cache identity keys on the *pre-adoption* producer arrays
-                # (ctx.operands): a pinned-foreign engine adopts fresh copies
-                # every visit, which would defeat an identity check on the
-                # adopted operands — the host-side originals are the stable
-                # handle.  On the native path ops IS ctx.operands.
-                w_qk = self._cached_weight(
-                    ("AS/w_qk", ctx.layer_index),
-                    (ctx.operands["w_q"], ctx.operands["w_k"]),
-                    lambda: xp.concatenate([w_q, w_k], axis=-1),
+            # are recovered as axis-split views (no copy).  Cache identity
+            # keys on the *pre-adoption* producer arrays (ctx.operands): a
+            # pinned-foreign engine adopts fresh copies every visit, which
+            # would defeat an identity check on the adopted operands — the
+            # host-side originals are the stable handle.  On the native path
+            # ops IS ctx.operands.
+            w_qk = self._cached_weight(
+                ("AS/w_qk", ctx.layer_index),
+                (ctx.operands["w_q"], ctx.operands["w_k"]),
+                lambda: xp.concatenate([w_q, w_k], axis=-1),
+            )
+            d_q = w_q.shape[-1]
+            self.dispatch_counts["gemm"] += 1
+            cs_qk = matmul_into(
+                xp, cs_x, w_qk,
+                self._buf("AS/cs_qk", lead + (2, w_qk.shape[-1]), xp),
+            )
+            if bias_q is not None:
+                # Both bias adjustments collapse into one vectorised in-place
+                # add of the cached concatenated float64 bias row; cs_qk is
+                # freshly computed float64, so the values are identical to
+                # the per-GEMM reference's copy-then-add.
+                b_qk = self._cached_weight(
+                    ("AS/bias_qk", ctx.layer_index),
+                    (ctx.operands["bias_q"], ctx.operands["bias_k"]),
+                    lambda: xp.concatenate([
+                        xp.astype(xp.asarray(bias_q), xp.float64, copy=False),
+                        xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
+                    ], axis=-1),
                 )
-                d_q = w_q.shape[-1]
-                self.dispatch_counts["gemm"] += 1
-                cs_qk = matmul_into(
-                    xp, cs_x, w_qk,
-                    self._buf("AS/cs_qk", lead + (2, w_qk.shape[-1]), xp),
-                )
-                if bias_q is not None:
-                    # Both bias adjustments collapse into one vectorised
-                    # in-place add of the cached concatenated float64 bias
-                    # row; cs_qk is freshly computed float64, so the values
-                    # are identical to the per-side copy-then-add.
-                    b_qk = self._cached_weight(
-                        ("AS/bias_qk", ctx.layer_index),
-                        (ctx.operands["bias_q"], ctx.operands["bias_k"]),
-                        lambda: xp.concatenate([
-                            xp.astype(xp.asarray(bias_q), xp.float64, copy=False),
-                            xp.astype(xp.asarray(bias_k), xp.float64, copy=False),
-                        ], axis=-1),
-                    )
-                    cs_qk[..., 0, :] += num_rows * b_qk
-                    cs_qk[..., 1, :] += (num_rows * (num_rows + 1) / 2.0) * b_qk
-                cs_q, cs_k = cs_qk[..., :d_q], cs_qk[..., d_q:]
-            else:
-                self.dispatch_counts["gemm"] += 2
-                cs_q = update_column_checksums_through_gemm(cs_x, w_q)
-                if bias_q is not None:
-                    cs_q = adjust_column_checksums_for_bias(cs_q, bias_q, num_rows)
-                cs_k = update_column_checksums_through_gemm(cs_x, w_k)
-                if bias_k is not None:
-                    cs_k = adjust_column_checksums_for_bias(cs_k, bias_k, num_rows)
+                cs_qk[..., 0, :] += num_rows * b_qk
+                cs_qk[..., 1, :] += (num_rows * (num_rows + 1) / 2.0) * b_qk
+            cs_q, cs_k = cs_qk[..., :d_q], cs_qk[..., d_q:]
             cs_q_ph = split_head_column_checksums(cs_q, ctx.num_heads)     # (B, H, 2, dh)
             cs_k_ph = split_head_column_checksums(cs_k, ctx.num_heads)
             self.dispatch_counts["gemm"] += 2
@@ -1159,16 +1113,14 @@ class ProtectionEngine:
         xp = backend.namespace_for(out)
         outcome = SectionOutcome(section="O", layer_index=ctx.layer_index, step=ctx.step)
         with self._timed("O/update", backend):
-            merge_buffer = None
-            if self.workspace is not None:
-                # Merge through a reusable buffer of the moved layout
-                # (B, 2, H, dh): no per-visit allocation, same values as the
-                # helper's reshape-copy.
-                *lead, h, two, dh = state.cs_cl_col.shape
-                merge_buffer = self.workspace.request(
-                    "O/cs_cl_merged", tuple(lead) + (two, h, dh),
-                    getattr(state.cs_cl_col, "dtype", None), xp,
-                )
+            # Merge through a reusable buffer of the moved layout
+            # (B, 2, H, dh): no per-visit allocation, same values as the
+            # helper's reshape-copy.
+            *lead, h, two, dh = state.cs_cl_col.shape
+            merge_buffer = self.workspace.request(
+                "O/cs_cl_merged", tuple(lead) + (two, h, dh),
+                getattr(state.cs_cl_col, "dtype", None), xp,
+            )
             cs_cl_merged = merge_head_column_checksums(                        # (B, 2, D)
                 state.cs_cl_col, out=merge_buffer
             )
@@ -1357,7 +1309,7 @@ class ProtectionEngine:
         see the module docstring).  In async mode it is a convenience barrier:
         submit whatever the front buffer holds, then :meth:`drain`.
         """
-        if self.asynchronous:
+        if self.verification_mode == "async":
             self.submit_step()
             return self.drain()
         items, self._queue = self._queue, []
@@ -1372,8 +1324,8 @@ class ProtectionEngine:
         flight — the backpressure that bounds both memory growth and
         detection staleness.  Returns the number of work items submitted.
         """
-        if not self.asynchronous:
-            raise RuntimeError("submit_step() requires asynchronous mode")
+        if self.verification_mode != "async":
+            raise RuntimeError("submit_step() requires the 'async' verification mode")
         items, self._queue = self._queue, []
         if not items:
             return 0
@@ -1406,7 +1358,7 @@ class ProtectionEngine:
         Returns all completed outcomes (including ones finished before the
         call); re-raises any worker exception.
         """
-        if not self.asynchronous:
+        if self.verification_mode != "async":
             return []
         with self._cv:
             while self._inflight and self._failure is None:

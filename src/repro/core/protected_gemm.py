@@ -13,17 +13,12 @@ exposes it as a small public API:
 
 ``fault_hook`` lets callers (tests, campaigns) corrupt the raw product before
 verification, exactly like the attention-level injector does.
-
-:class:`ProtectedGemmChain` extends the primitive to a whole *chain* of GEMMs
-verified only once at the end — the standalone analogue of a protection
-section (Section 4.4) and the building block the fused
-:class:`repro.core.engine.ProtectionEngine` applies to the attention dataflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.backend import namespace_of
 from repro.core.checksums import (
@@ -40,7 +35,6 @@ __all__ = [
     "ProtectedGemmResult",
     "protected_matmul",
     "ProtectedMatmul",
-    "ProtectedGemmChain",
 ]
 
 
@@ -116,83 +110,6 @@ class ProtectedMatmul:
         checksums = ChecksumState(col=col, row=row)
         report = correct_matrix(output, checksums, thresholds=self.thresholds)
         return ProtectedGemmResult(output=output, checksums=checksums, report=report)
-
-
-class ProtectedGemmChain:
-    """Section-level checksum passing over ``C = (((A B_1) B_2) ... B_k)``.
-
-    Column checksums of ``A`` are encoded **once** and carried through every
-    member GEMM; row checksums are derived from ``B_k`` and the last
-    intermediate product.  Only the final product is verified — a fault
-    striking *any* member GEMM still surfaces there, because the carried
-    checksums describe the true output (the central algebraic fact of
-    Section 4.4).  This is exactly one verification per chain instead of one
-    per GEMM, at the price of correction granularity: the located error is
-    repaired in the final product only.
-
-    Parameters
-    ----------
-    maintain_column / maintain_row:
-        Checksum sides to carry; as for :class:`ProtectedMatmul`.
-    thresholds:
-        EEC-ABFT thresholds (paper defaults).
-    """
-
-    def __init__(
-        self,
-        maintain_column: bool = True,
-        maintain_row: bool = True,
-        thresholds: Optional[ABFTThresholds] = None,
-    ) -> None:
-        if not maintain_column and not maintain_row:
-            raise ValueError("at least one checksum side must be maintained")
-        self.maintain_column = maintain_column
-        self.maintain_row = maintain_row
-        self.thresholds = thresholds or ABFTThresholds()
-
-    def __call__(
-        self,
-        a: Any,
-        bs: Sequence[Any],
-        fault_hook: Optional[Callable[[int, Any], Any]] = None,
-    ) -> ProtectedGemmResult:
-        """Compute the chained product with one verification at the end.
-
-        ``fault_hook`` receives ``(stage_index, intermediate)`` after each
-        member GEMM and may corrupt the intermediate in place, emulating a
-        transient fault striking mid-section that is only detected at the
-        section boundary.
-        """
-        if not bs:
-            raise ValueError("chain needs at least one right-hand operand")
-        xp = namespace_of(a)
-        a = xp.astype(xp.asarray(a), xp.float64, copy=False)
-        operands = [xp.astype(xp.asarray(b), xp.float64, copy=False) for b in bs]
-
-        out = a
-        col = encode_column_checksums(a) if self.maintain_column else None
-        with xp.errstate(invalid="ignore", over="ignore"):
-            for stage, b in enumerate(operands):
-                penultimate = out
-                out = xp.matmul(out, b)
-                if fault_hook is not None:
-                    out = fault_hook(stage, out)
-                if col is not None:
-                    col = update_column_checksums_through_gemm(col, b)
-            row = None
-            if self.maintain_row:
-                # row(C) = (A B_1 ... B_{k-1}) row(B_k): the row side only needs
-                # the last intermediate, which the forward recursion provides for
-                # free.  The intermediate may carry an injected extreme value;
-                # that is the nondeterministic-pattern scenario the verification
-                # below handles.
-                row = update_row_checksums_through_gemm(
-                    penultimate, encode_row_checksums(operands[-1])
-                )
-
-        checksums = ChecksumState(col=col, row=row)
-        report = correct_matrix(out, checksums, thresholds=self.thresholds)
-        return ProtectedGemmResult(output=out, checksums=checksums, report=report)
 
 
 def protected_matmul(

@@ -161,17 +161,17 @@ SECTION_REGISTRY: Dict[str, ProtectionSection] = {
 }
 
 #: Valid ``ATTNCheckerConfig.protect_scope`` values.  ``"attention"`` is the
-#: historical bit-for-bit default; ``"attention+ffn"`` adds the FFN sections;
-#: ``"full"`` means every registered section (today identical to
-#: ``"attention+ffn"`` — embeddings/LayerNorm invariants are a noted residual).
-PROTECT_SCOPES: Tuple[str, ...] = ("attention", "attention+ffn", "full")
+#: historical bit-for-bit default; ``"attention+ffn"`` adds the FFN sections,
+#: i.e. every registered section (embeddings/LayerNorm invariants are a noted
+#: residual).
+PROTECT_SCOPES: Tuple[str, ...] = ("attention", "attention+ffn")
 
 
 def sections_for_scope(scope: str) -> Dict[str, ProtectionSection]:
     """The active section subset for one ``protect_scope`` value."""
     if scope == "attention":
         return PROTECTION_SECTIONS
-    if scope in ("attention+ffn", "full"):
+    if scope == "attention+ffn":
         return SECTION_REGISTRY
     raise KeyError(
         f"unknown protect scope {scope!r}; expected one of {PROTECT_SCOPES}"
@@ -338,7 +338,7 @@ class SectionCostModel:
         """Costs for every section of ``scope`` for one transformer layer.
 
         The default scope is the historical attention triple; pass
-        ``"attention+ffn"`` / ``"full"`` for the whole-model registry.
+        ``"attention+ffn"`` for the whole-model registry.
         """
         return {name: self.section_costs(name) for name in sections_for_scope(scope)}
 
@@ -471,7 +471,7 @@ class SectionCostModel:
 
     @staticmethod
     def checksum_gemm_dispatches_per_layer(
-        schedule: str, steady_state: bool = True, scope: str = "attention"
+        steady_state: bool = True, scope: str = "attention"
     ) -> Dict[str, int]:
         """Checksum GEMM/einsum launches per transformer-layer visit, by section.
 
@@ -481,44 +481,29 @@ class SectionCostModel:
         :meth:`verification_dispatches_per_step`.  Bias adjustments are
         elementwise, not GEMMs, and are not counted.
 
-        * ``"unfused"`` — the historical one-GEMM-per-update schedule
-          (``fuse_sibling_gemms=False, cache_weight_encodings=False``):
-          S_AS encodes ``cs_x`` and carries it through ``W_Q`` and ``W_K``
-          separately (3) plus the two boundary-side carries (2); S_CL encodes
-          ``rowcs(W_V)`` and ``col(AP)`` (2) and carries three times (3);
-          S_O carries once.
-        * ``"fused"`` — the sibling GEMMs collapse into one launch against
-          ``[W_Q | W_K]`` (S_AS drops to 4) and, in steady state
-          (``steady_state=True``: weights unchanged since the last visit, so
-          the weight-encoding cache hits), the ``rowcs(W_V)`` encode
-          disappears from the per-visit path (S_CL drops to 4).  A cold visit
-          (``steady_state=False`` — first visit, or the first after a weight
-          update) pays the ``rowcs(W_V)`` encode once.
+        * ``S_AS`` encodes ``cs_x`` (1), carries it through the concatenated
+          ``[W_Q | W_K]`` in one launch (1) and runs the two boundary-side
+          carries (2): 4.
+        * ``S_CL`` encodes ``col(AP)`` (1), carries ``X`` through the cached
+          ``rowcs(W_V)`` (1) and runs the two boundary-side carries (2): 4.
+          A cold visit (``steady_state=False`` — first visit, or the first
+          after a weight update, so the weight-encoding cache misses)
+          additionally encodes ``rowcs(W_V)`` (+1).
+        * ``S_O`` carries ``col(CL)`` through ``W_O`` once: 1.
 
         With an FFN-including ``scope`` the two single-GEMM feed-forward
         sections are added:
 
-        * ``FF1`` encodes ``col(X)`` and carries it through ``W_up`` — 2
-          launches under either schedule (sibling fusion has no sibling here);
-        * ``FF2`` carries ``H'`` through the cached ``rowcs(W_down)`` — 1
-          launch in the fused steady state; the unfused schedule (or a cold
-          visit) re-encodes ``rowcs(W_down)`` per visit, so 2.
+        * ``FF1`` encodes ``col(X)`` and carries it through ``W_up``: 2.
+        * ``FF2`` carries ``H'`` through the cached ``rowcs(W_down)``: 1.  A
+          cold visit additionally encodes ``rowcs(W_down)`` (+1).
 
         The totals are exact counts the fused-kernel tests compare against
         the engine's measured counters.
         """
-        if schedule == "unfused":
-            counts = {"AS": 5, "CL": 5, "O": 1}
-            ffn = {"FF1": 2, "FF2": 2}
-        elif schedule == "fused":
-            counts = {"AS": 4, "CL": 4 if steady_state else 5, "O": 1}
-            ffn = {"FF1": 2, "FF2": 1 if steady_state else 2}
-        else:
-            raise KeyError(
-                f"unknown schedule {schedule!r}; expected 'fused' or 'unfused'"
-            )
+        counts = {"AS": 4, "CL": 4 if steady_state else 5, "O": 1}
         if "FF1" in sections_for_scope(scope):
-            counts.update(ffn)
+            counts.update({"FF1": 2, "FF2": 1 if steady_state else 2})
         return counts
 
     @staticmethod
@@ -569,8 +554,7 @@ class SectionCostModel:
     def checksum_workspace_slots(mode: str, scope: str = "attention") -> int:
         """Distinct reusable workspace buffers of the critical-path arena.
 
-        With ``reuse_workspace`` on, the fused engine's steady-state hot path
-        serves every *managed* checksum intermediate from one of these named
+        The fused engine's steady-state hot path serves every *managed* checksum intermediate from one of these named
         slots, shared across the homogeneous layers of a model.  Immediate
         mode keeps the boundary checksums in the arena too (9 slots:
         ``cs_x``/``cs_qk``/two ``AS`` sides, ``cs_ap_col``/two ``CL`` sides,
@@ -660,7 +644,7 @@ class SectionCostModel:
     def steady_state_hot_path_allocations() -> int:
         """Workspace allocations per layer visit once warm — zero by design.
 
-        The measurable claim behind ``reuse_workspace``: after the warm-up
+        The measurable claim behind the checksum workspace: after the warm-up
         visit, ``ChecksumWorkspace.allocations`` stays flat while ``reuses``
         grows (counter-verified by the fused-kernel tests and the Figure-7
         perf smoke).

@@ -394,7 +394,7 @@ class _RankRunner:
             stale_dirty = 0
             if self.checker is not None:
                 outcomes = list(self.checker.end_step())
-                if policy != "record" and self.checker.config.async_verification:
+                if policy != "record" and self.checker.config.verification_mode == "async":
                     outcomes.extend(self.checker.drain())
                 stale_dirty = _count_stale_dirty(outcomes)
             total_stale += stale_dirty

@@ -13,7 +13,7 @@ Fault injectors and the ATTNChecker are both
 :class:`repro.nn.AttentionHooks`; the trainer composes them (injector first,
 checker second) and attaches them to every attention layer of the model.
 
-With an *async-verification* checker (``async_verification=True``) the
+With an *async-verification* checker (``verification_mode="async"``) the
 trainer additionally implements the bounded-staleness recovery policy: each
 ``train_step`` submits the step's checksum snapshot and harvests completed
 verification results, and when a harvested boundary verified dirty *after*
@@ -267,7 +267,7 @@ class Trainer:
         """Snapshots to retain for stale rollback (0 disables snapshotting)."""
         if (
             self.checker is not None
-            and self.checker.config.async_verification
+            and self.checker.config.verification_mode == "async"
             and self.config.stale_policy == "reexecute"
         ):
             return self.checker.config.max_pending_steps + 1

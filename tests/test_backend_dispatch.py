@@ -273,9 +273,7 @@ def run_layer_campaign(backend_name, seed, target, error_type, mode, dtype=np.fl
 
     dev = {k: backend.from_numpy(np.array(v, copy=True))
            for k, v in p.items() if k != "geom"}
-    engine = ProtectionEngine(
-        deferred=(mode == "deferred"), asynchronous=(mode == "async"),
-    )
+    engine = ProtectionEngine(verification_mode=mode)
     engine.begin_layer(0, SECTIONS_ENABLED)
 
     def ctx(section, operands):
@@ -780,7 +778,7 @@ class TestConfigPlumbing:
         config = ATTNCheckerConfig(backend="per_gemm", array_backend="numpy")
         assert config.backend == "per_gemm"
         assert config.array_backend == "numpy"
-        config = ATTNCheckerConfig(async_verification=True, array_backend="numpy")
+        config = ATTNCheckerConfig(verification_mode="async", array_backend="numpy")
         assert config.verification_mode == "async"
 
     def test_trainer_surfaces_array_backend(self):

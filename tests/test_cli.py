@@ -39,8 +39,8 @@ class TestParser:
 
     def test_async_flag_parsed(self):
         args = build_parser().parse_args(["quickstart", "--async"])
-        assert args.async_verification is True
-        assert build_parser().parse_args(["quickstart"]).async_verification is False
+        assert args.verification_mode == "async"
+        assert build_parser().parse_args(["quickstart"]).verification_mode == "immediate"
 
     def test_model_array_backend_flag_parsed(self):
         args = build_parser().parse_args(["train", "--model-array-backend", "numpy"])

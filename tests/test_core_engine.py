@@ -13,7 +13,6 @@ from repro.core import (
     CHECKER_BACKENDS,
     ATTNChecker,
     ATTNCheckerConfig,
-    ProtectedGemmChain,
     ProtectionEngine,
     SectionCostModel,
 )
@@ -92,8 +91,8 @@ class TestBackendConfig:
             ATTNCheckerConfig(backend="cuda")
 
     def test_deferred_requires_fused(self):
-        with pytest.raises(ValueError):
-            ATTNCheckerConfig(backend="per_gemm", defer_verification=True)
+        with pytest.raises(ValueError, match="fused"):
+            ATTNCheckerConfig(backend="per_gemm", verification_mode="deferred")
 
     def test_dispatch_accounting(self):
         model = SectionCostModel(get_config("bert-base", size="paper"), batch_size=8)
@@ -251,7 +250,7 @@ class TestBackendEquivalenceVariants:
 class TestDeferredVerification:
     def test_deferred_queues_then_flushes_in_one_batch(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="deferred"))
         injector = FaultInjector(
             [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
             rng=np.random.default_rng(7),
@@ -268,7 +267,7 @@ class TestDeferredVerification:
 
     def test_deferred_clean_pass_reports_clean(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="deferred"))
         run_attention(attention, rng.normal(size=(2, 6, 16)), checker)
         outcomes = checker.end_step()
         assert len(outcomes) == 3
@@ -278,7 +277,7 @@ class TestDeferredVerification:
         # Two forward passes before the flush: same-shaped boundary matrices
         # stack into one batched verification per section.
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="deferred"))
         x = rng.normal(size=(2, 6, 16))
         run_attention(attention, x, checker)
         run_attention(attention, x, checker)
@@ -313,61 +312,8 @@ class TestEngineStandalone:
 
     def test_reset_clears_queue(self, rng):
         attention = make_attention()
-        checker = ATTNChecker(ATTNCheckerConfig(defer_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="deferred"))
         run_attention(attention, rng.normal(size=(1, 4, 16)), checker)
         assert checker.engine.pending_verifications == 3
         checker.reset_stats()
         assert checker.engine.pending_verifications == 0
-
-
-class TestProtectedGemmChain:
-    def test_clean_chain_is_clean(self, rng):
-        chain = ProtectedGemmChain()
-        a = rng.normal(size=(12, 8))
-        bs = [rng.normal(size=(8, 10)), rng.normal(size=(10, 6))]
-        result = chain(a, bs)
-        assert result.clean
-        assert np.allclose(result.output, a @ bs[0] @ bs[1])
-
-    @pytest.mark.parametrize("stage", [0, 1, 2])
-    def test_fault_at_any_stage_detected_at_boundary(self, rng, stage):
-        # A fault striking ANY member GEMM of the chain surfaces at the single
-        # boundary verification — the checksum-passing property of Section 4.4.
-        chain = ProtectedGemmChain()
-        a = rng.normal(size=(12, 8))
-        bs = [rng.normal(size=(8, 10)), rng.normal(size=(10, 6)), rng.normal(size=(6, 9))]
-
-        def fault(s, out):
-            if s == stage:
-                out[1, 2] = np.inf
-            return out
-
-        result = chain(a, bs, fault_hook=fault)
-        assert result.report.detected >= 1
-        assert result.fully_corrected
-
-    def test_final_stage_fault_fully_restored(self, rng):
-        # A boundary-GEMM fault is repaired to the true value (earlier-stage
-        # faults corrupt whole downstream rows/columns; those are the 1D cases
-        # the attention engine retries with the orthogonal side).
-        chain = ProtectedGemmChain()
-        a = rng.normal(size=(12, 8))
-        bs = [rng.normal(size=(8, 10)), rng.normal(size=(10, 6))]
-        reference = a @ bs[0] @ bs[1]
-
-        def fault(s, out):
-            if s == 1:
-                out[3, 4] = np.nan
-            return out
-
-        result = chain(a, bs, fault_hook=fault)
-        assert result.report.corrected >= 1
-        assert np.allclose(result.output, reference, rtol=1e-6, atol=1e-8)
-
-    def test_empty_chain_rejected(self, rng):
-        with pytest.raises(ValueError):
-            ProtectedGemmChain()(rng.normal(size=(4, 4)), [])
-
-    def test_needs_a_checksum_side(self):
-        with pytest.raises(ValueError):
-            ProtectedGemmChain(maintain_column=False, maintain_row=False)

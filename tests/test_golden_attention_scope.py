@@ -23,7 +23,6 @@ import pytest
 from repro.core import (
     CHECKER_BACKENDS,
     VERIFICATION_MODES,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
 )
@@ -57,7 +56,7 @@ def run_train_case(backend: str, mode: str) -> dict:
         rng=np.random.default_rng(3),
     )
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=backend, **VERIFICATION_MODE_CONFIGS[mode]))
+        backend=backend, verification_mode=mode))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4),
                       checker=checker, fault_hooks=[injector])
     losses = []
@@ -87,7 +86,7 @@ def run_serve_case(backend: str, mode: str) -> dict:
     from repro.serving import RequestGenerator, ServingConfig, ServingEngine
     model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=backend, **VERIFICATION_MODE_CONFIGS[mode]))
+        backend=backend, verification_mode=mode))
     model.set_attention_hooks(checker)
     requests = RequestGenerator(vocab_size=model.config.vocab_size,
                                 prompt_len_range=(3, 6), new_tokens_range=(2, 5),

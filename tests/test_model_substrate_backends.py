@@ -36,7 +36,7 @@ from repro.backend import (
     register_backend,
     unregister_backend,
 )
-from repro.core import ATTNChecker, ATTNCheckerConfig
+from repro.core import VERIFICATION_MODES, ATTNChecker, ATTNCheckerConfig
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
 from repro.data import SyntheticMRPC
@@ -74,11 +74,6 @@ NUMPY_GOLDENS = {
     },
 }
 
-MODE_CONFIGS = {
-    "immediate": {},
-    "deferred": {"defer_verification": True},
-    "async": {"async_verification": True},
-}
 
 
 def _batch_for(model, seed=5, batch=4, offset=0):
@@ -114,7 +109,7 @@ def run_protected_training(
         [FaultSpec(matrix=matrix, error_type=error_type, layer_index=0)],
         rng=np.random.default_rng(3),
     )
-    checker = ATTNChecker(ATTNCheckerConfig(**MODE_CONFIGS[mode]))
+    checker = ATTNChecker(ATTNCheckerConfig(verification_mode=mode))
     trainer = Trainer(
         model,
         config=TrainerConfig(learning_rate=1e-3),
@@ -228,7 +223,7 @@ def counting_substrate():
     clear_dispatch_cache()
 
 
-@pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+@pytest.mark.parametrize("mode", sorted(VERIFICATION_MODES))
 def test_full_protected_step_zero_conversions_on_shared_backend(counting_substrate, mode):
     """Acceptance criterion: a full protected training step (fused engine,
     async included) on a non-NumPy-named backend performs zero host
@@ -348,7 +343,7 @@ class TestForeignSubstrate:
             [FaultSpec(matrix="AS", error_type="inf", layer_index=0)],
             rng=np.random.default_rng(3),
         )
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="async"))
         trainer = Trainer(
             model, config=TrainerConfig(learning_rate=1e-3, stale_policy="reexecute"),
             checker=checker, fault_hooks=[injector],
@@ -404,7 +399,7 @@ class TestTorchSubstrate:
         for p in model.parameters():
             assert backend.is_backend_array(p.data)
 
-    @pytest.mark.parametrize("mode", sorted(MODE_CONFIGS))
+    @pytest.mark.parametrize("mode", sorted(VERIFICATION_MODES))
     @pytest.mark.parametrize("error_type", ["inf", "nan", "near_inf"])
     def test_training_campaign_decisions_match_numpy_reference(self, mode, error_type):
         reference = run_protected_training("bert-base", mode=mode, error_type=error_type)

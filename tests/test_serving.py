@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    VERIFICATION_MODE_CONFIGS,
+    VERIFICATION_MODES,
     ATTNChecker,
     ATTNCheckerConfig,
     SectionCostModel,
@@ -157,14 +157,14 @@ class TestFaultFreeServing:
         assert protected.checker_stats["detections"] == 0
         assert protected.checker_stats["checks"] > 0
 
-    @pytest.mark.parametrize("mode", sorted(VERIFICATION_MODE_CONFIGS))
+    @pytest.mark.parametrize("mode", sorted(VERIFICATION_MODES))
     def test_verification_modes_serve_identically(self, mode):
         requests_model = make_gpt2()
         baseline = serve(requests_model, make_requests(requests_model))
 
         model = make_gpt2()
         checker = ATTNChecker(
-            ATTNCheckerConfig(backend="fused", **VERIFICATION_MODE_CONFIGS[mode])
+            ATTNCheckerConfig(backend="fused", verification_mode=mode)
         )
         model.set_attention_hooks(checker)
         protected = serve(model, make_requests(model), checker=checker)
@@ -217,7 +217,7 @@ class TestFaultIsolation:
                           evict_uncorrected=True):
         model = make_gpt2()
         checker = ATTNChecker(
-            ATTNCheckerConfig(backend=backend, **VERIFICATION_MODE_CONFIGS[mode])
+            ATTNCheckerConfig(backend=backend, verification_mode=mode)
         )
         injector = FaultInjector(
             self._specs(error_type), rng=np.random.default_rng(0), enabled=False
@@ -457,7 +457,7 @@ class TestSlotCompaction:
         # engine must not compact under async verification.
         model = make_gpt2()
         checker = ATTNChecker(
-            ATTNCheckerConfig(backend="fused", **VERIFICATION_MODE_CONFIGS["async"])
+            ATTNCheckerConfig(backend="fused", verification_mode="async")
         )
         model.set_attention_hooks(checker)
         report = self._serve_counted(model, self._mixed_requests(model), checker=checker)

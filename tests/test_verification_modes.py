@@ -31,7 +31,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     ProtectionEngine,
@@ -56,9 +55,9 @@ SECTION_RANK = {"AS": 0, "CL": 1, "O": 2}
 
 MODE_KWARGS = {
     "per_gemm": {"backend": "per_gemm"},
-    "fused": VERIFICATION_MODE_CONFIGS["immediate"],
-    "fused+deferred": VERIFICATION_MODE_CONFIGS["deferred"],
-    "fused+async": VERIFICATION_MODE_CONFIGS["async"],
+    "fused": {"verification_mode": "immediate"},
+    "fused+deferred": {"verification_mode": "deferred"},
+    "fused+async": {"verification_mode": "async"},
 }
 
 
@@ -240,7 +239,7 @@ class TestTrainerAsyncCampaign:
         _, imm_checker, _, imm_results = make_trainer({}, steps=3)
 
         trainer, checker, batch, results = make_trainer(
-            {"async_verification": True, "max_pending_steps": 2}
+            {"verification_mode": "async", "max_pending_steps": 2}
         )
         for _ in range(3):
             results.append(trainer.train_step(batch))
@@ -271,7 +270,7 @@ class TestTrainerAsyncCampaign:
             vocab_size=model.config.vocab_size,
         )
         batch = dict(data.encode(range(4)))
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="async"))
         trainer = Trainer(model, config=TrainerConfig(learning_rate=1e-3), checker=checker)
         for _ in range(2):
             trainer.train_step(batch)
@@ -284,7 +283,7 @@ class TestTrainerAsyncCampaign:
 
     def test_reexecute_policy_recovers_the_step(self):
         trainer, checker, batch, results = make_trainer(
-            {"async_verification": True, "max_pending_steps": 1},
+            {"verification_mode": "async", "max_pending_steps": 1},
             trainer_kwargs={"stale_policy": "reexecute"},
         )
         for _ in range(3):
@@ -301,7 +300,7 @@ class TestTrainerAsyncCampaign:
 
     def test_abort_policy_raises(self):
         trainer, checker, batch, results = make_trainer(
-            {"async_verification": True, "max_pending_steps": 1},
+            {"verification_mode": "async", "max_pending_steps": 1},
             trainer_kwargs={"stale_policy": "abort"},
         )
         with pytest.raises(StaleDetectionAbort):
@@ -331,7 +330,7 @@ class TestTrainerAsyncCampaign:
         # A fault on the final step only surfaces at the drain barrier; the
         # policy must still fire there, not be downgraded to 'record'.
         trainer, checker, batch, _ = make_trainer(
-            {"async_verification": True, "max_pending_steps": 2},
+            {"verification_mode": "async", "max_pending_steps": 2},
             trainer_kwargs={"stale_policy": "abort"},
         )
         release = self._gate_worker(checker)
@@ -343,7 +342,7 @@ class TestTrainerAsyncCampaign:
 
     def test_reexecute_policy_applies_at_drain_barrier(self):
         trainer, checker, batch, _ = make_trainer(
-            {"async_verification": True, "max_pending_steps": 2},
+            {"verification_mode": "async", "max_pending_steps": 2},
             trainer_kwargs={"stale_policy": "reexecute"},
         )
         release = self._gate_worker(checker)
@@ -370,7 +369,7 @@ def make_check(section="O", step=1):
 
 class TestBackpressureAndLifecycle:
     def test_submit_blocks_at_max_pending_steps(self):
-        engine = ProtectionEngine(asynchronous=True, max_pending_steps=1)
+        engine = ProtectionEngine(verification_mode="async", max_pending_steps=1)
         started, release = threading.Event(), threading.Event()
         original = engine._process_batch
 
@@ -402,7 +401,7 @@ class TestBackpressureAndLifecycle:
         engine.close()
 
     def test_worker_exception_propagates_at_drain(self):
-        engine = ProtectionEngine(asynchronous=True, max_pending_steps=2)
+        engine = ProtectionEngine(verification_mode="async", max_pending_steps=2)
         original = engine._process_batch
         engine._process_batch = lambda epoch, items: (_ for _ in ()).throw(
             ValueError("verification worker exploded")
@@ -421,7 +420,7 @@ class TestBackpressureAndLifecycle:
         engine.close()
 
     def test_worker_exception_propagates_at_harvest(self):
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="async"))
         engine = checker.engine
         engine._process_batch = lambda epoch, items: (_ for _ in ()).throw(
             RuntimeError("boom")
@@ -439,7 +438,7 @@ class TestBackpressureAndLifecycle:
         # close() must verify already-submitted batches before the worker
         # exits: their outcomes stay harvestable and a later drain() returns
         # instead of hanging on stranded in-flight accounting.
-        engine = ProtectionEngine(asynchronous=True, max_pending_steps=4)
+        engine = ProtectionEngine(verification_mode="async", max_pending_steps=4)
         release = threading.Event()
         original = engine._process_batch
 
@@ -461,7 +460,7 @@ class TestBackpressureAndLifecycle:
         assert len(outcomes) == 3
 
     def test_pending_failure_raises_at_submit(self):
-        engine = ProtectionEngine(asynchronous=True, max_pending_steps=2)
+        engine = ProtectionEngine(verification_mode="async", max_pending_steps=2)
         engine._process_batch = lambda epoch, items: (_ for _ in ()).throw(
             ValueError("bad batch")
         )
@@ -478,7 +477,7 @@ class TestBackpressureAndLifecycle:
         engine.close()
 
     def test_reset_joins_worker_cleanly(self):
-        engine = ProtectionEngine(asynchronous=True, max_pending_steps=2)
+        engine = ProtectionEngine(verification_mode="async", max_pending_steps=2)
         engine._queue.append(make_check())
         engine.submit_step()
         engine.reset()
@@ -493,7 +492,7 @@ class TestBackpressureAndLifecycle:
 
     def test_checker_reset_stats_joins_worker(self, rng):
         scenario = random_scenario(0)
-        checker = ATTNChecker(ATTNCheckerConfig(async_verification=True))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode="async"))
         attention = MultiHeadAttention(
             hidden_size=scenario["hidden"], num_heads=scenario["heads"],
             dropout_p=0.0, rng=rng,
@@ -510,7 +509,7 @@ class TestBackpressureAndLifecycle:
         assert checker.stats.total_checks == 0
 
     def test_flush_is_a_barrier_in_async_mode(self):
-        engine = ProtectionEngine(asynchronous=True)
+        engine = ProtectionEngine(verification_mode="async")
         engine._queue.append(make_check())
         outcomes = engine.flush()
         assert len(outcomes) == 1
@@ -525,32 +524,50 @@ class TestBackpressureAndLifecycle:
 class TestConfigGuards:
     def test_async_requires_fused_backend(self):
         with pytest.raises(ValueError, match="fused"):
-            ATTNCheckerConfig(backend="per_gemm", async_verification=True)
-
-    def test_async_and_deferred_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            ATTNCheckerConfig(defer_verification=True, async_verification=True)
+            ATTNCheckerConfig(backend="per_gemm", verification_mode="async")
 
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_max_pending_steps_must_be_positive_integer(self, bad):
         with pytest.raises(ValueError, match="max_pending_steps"):
-            ATTNCheckerConfig(async_verification=True, max_pending_steps=bad)
+            ATTNCheckerConfig(verification_mode="async", max_pending_steps=bad)
 
     def test_verification_mode_property(self):
         assert ATTNCheckerConfig().verification_mode == "immediate"
-        assert ATTNCheckerConfig(defer_verification=True).verification_mode == "deferred"
-        assert ATTNCheckerConfig(async_verification=True).verification_mode == "async"
-        assert ATTNChecker(ATTNCheckerConfig(async_verification=True)).verification_mode == "async"
+        assert ATTNCheckerConfig(verification_mode="deferred").verification_mode == "deferred"
+        assert ATTNCheckerConfig(verification_mode="async").verification_mode == "async"
+        assert ATTNChecker(ATTNCheckerConfig(verification_mode="async")).verification_mode == "async"
 
-    def test_engine_rejects_conflicting_modes(self):
+    def test_unknown_verification_mode_names_the_valid_modes(self):
+        with pytest.raises(ValueError, match="'immediate', 'deferred', 'async'"):
+            ATTNCheckerConfig(verification_mode="bogus")
+        with pytest.raises(ValueError, match="'immediate', 'deferred', 'async'"):
+            ProtectionEngine(verification_mode="bogus")
+
+    def test_engine_rejects_nonpositive_max_pending_steps(self):
         with pytest.raises(ValueError):
-            ProtectionEngine(deferred=True, asynchronous=True)
-        with pytest.raises(ValueError):
-            ProtectionEngine(asynchronous=True, max_pending_steps=0)
+            ProtectionEngine(verification_mode="async", max_pending_steps=0)
 
     def test_submit_step_requires_async_mode(self):
         with pytest.raises(RuntimeError):
-            ProtectionEngine(deferred=True).submit_step()
+            ProtectionEngine(verification_mode="deferred").submit_step()
+
+    @pytest.mark.parametrize("missing", ["w_q", "w_k"])
+    def test_as_section_rejects_a_single_qk_bias(self, missing):
+        """MultiHeadAttention biases Q and K together; a section that carries
+        exactly one of the two biases is refused, not silently mis-checked."""
+        attention = MultiHeadAttention(
+            hidden_size=8, num_heads=2, dropout_p=0.0,
+            rng=np.random.default_rng(0), bias=True,
+        )
+        attention.eval()
+        getattr(attention, missing).bias = None
+        attention.set_hooks(ATTNChecker())
+        x = np.random.default_rng(1).normal(size=(1, 3, 8))
+        try:
+            with pytest.raises(ValueError, match="bias_q / bias_k"):
+                attention(Tensor(x))
+        finally:
+            attention.set_hooks(None)
 
 
 class TestDispatchAccounting:

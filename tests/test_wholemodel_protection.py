@@ -24,7 +24,6 @@ import pytest
 from repro.core import (
     PROTECT_SCOPES,
     SECTION_REGISTRY,
-    VERIFICATION_MODE_CONFIGS,
     ATTNChecker,
     ATTNCheckerConfig,
     SectionCostModel,
@@ -75,7 +74,7 @@ class TestScopePlumbing:
     def test_scope_section_sets(self):
         assert set(sections_for_scope("attention")) == {"AS", "CL", "O"}
         assert set(sections_for_scope("attention+ffn")) == {"AS", "CL", "O", "FF1", "FF2"}
-        assert set(sections_for_scope("full")) == set(SECTION_REGISTRY)
+        assert set(sections_for_scope("attention+ffn")) == set(SECTION_REGISTRY)
 
     def test_unknown_scope_rejected(self):
         with pytest.raises((KeyError, ValueError)):
@@ -105,7 +104,7 @@ class TestScopePlumbing:
         model.set_attention_hooks(None)
         assert set(checker.stats.sections) == {"AS", "CL", "O"}
         per_layer = SectionCostModel.checksum_gemm_dispatches_per_layer(
-            "fused", steady_state=False
+            steady_state=False
         )
         assert checker.dispatch_counts["gemm"] == \
             sum(per_layer.values()) * model.config.num_layers
@@ -198,7 +197,7 @@ class TestTrainingDispatchCounters:
         for _ in range(steps):
             trainer.train_step(batch)
         per_layer = SectionCostModel.checksum_gemm_dispatches_per_layer(
-            "fused", steady_state=False, scope="attention+ffn"
+            steady_state=False, scope="attention+ffn"
         )
         expected = sum(per_layer.values()) * model.config.num_layers * steps
         assert checker.dispatch_counts["gemm"] == expected
@@ -229,7 +228,7 @@ class TestTrainingDispatchCounters:
             rng=np.random.default_rng(2),
         )
         checker = ATTNChecker(ATTNCheckerConfig(
-            protect_scope="attention+ffn", **VERIFICATION_MODE_CONFIGS[mode]))
+            protect_scope="attention+ffn", verification_mode=mode))
         trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4),
                           checker=checker, fault_hooks=[injector])
         for _ in range(2):
@@ -473,7 +472,7 @@ class TestOptimizerStateChecksum:
         model = make_bert()
         batch = make_batch(model)
         checker = ATTNChecker(ATTNCheckerConfig(
-            protect_scope="attention+ffn", **VERIFICATION_MODE_CONFIGS["async"]))
+            protect_scope="attention+ffn", verification_mode="async"))
         trainer = Trainer(
             model,
             config=TrainerConfig(learning_rate=5e-4, stale_policy="reexecute"),
@@ -505,4 +504,6 @@ class TestScopeCLI:
         assert "corrections          : 1" in out
 
     def test_scopes_constant(self):
-        assert PROTECT_SCOPES == ("attention", "attention+ffn", "full")
+        assert PROTECT_SCOPES == ("attention", "attention+ffn")
+        with pytest.raises(ValueError, match="unknown protect_scope 'full'"):
+            ATTNCheckerConfig(protect_scope="full")
