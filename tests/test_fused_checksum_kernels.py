@@ -5,7 +5,10 @@ already byte-compares the fused schedule against the per-GEMM
 reference over a random campaign):
 
 * the fused schedule (sibling-GEMM fusion + weight-encoding cache +
-  checksum workspace) matches the per-GEMM oracle directly;
+  checksum workspace) matches the per-GEMM oracle directly, and a warm
+  engine (cached encodings, reused buffers) makes **byte-identical
+  detection/correction decisions and outputs** vs a fresh one, across random
+  geometry, dtypes, sections, faults and all three verification modes;
 * the BLAS property the sibling fusion relies on — ``A @ [B1 | B2]`` is
   column-wise bitwise identical to ``A @ B1`` / ``A @ B2`` — holds on this
   platform (a loud canary if a BLAS build ever breaks it);
@@ -16,7 +19,8 @@ reference over a random campaign):
   invalidated by optimizer steps, ``load_state_dict`` and the manual
   ``invalidate_weight_cache`` escape hatch for in-place weight edits;
 * the engine's measured dispatch counters agree with
-  ``SectionCostModel.checksum_gemm_dispatches_per_layer``;
+  ``SectionCostModel.checksum_gemm_dispatches_per_layer`` (per mode and per
+  section) and ``verification_dispatches_per_step``;
 * namespaces without the ``out=`` contract fall back value-correctly.
 """
 
@@ -39,6 +43,7 @@ from repro.core.checksums import (
     clear_checksum_weight_cache,
     stacked_checksum_weights,
 )
+from repro.core.sections import SECTION_REGISTRY
 from repro.core.workspace import einsum_into, matmul_into, stack_into
 from repro.data import SyntheticMRPC
 from repro.faults import FaultInjector, FaultSpec
@@ -82,6 +87,33 @@ def test_fused_schedule_matches_per_gemm_reference(seed):
     reference = run_scenario("per_gemm", scenario, seed)
     assert fused["stats"] == reference["stats"]
     assert np.array_equal(fused["output"], reference["output"], equal_nan=True)
+
+
+def _shift_steps(signature, by):
+    """An outcome signature with every step index moved by ``by``."""
+    return tuple(sig[:2] + (sig[2] + by,) + sig[3:] for sig in signature)
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("mode", ["fused", "fused+deferred", "fused+async"])
+class TestWarmScheduleEquivalence:
+    """Property campaign: state the fused schedule carries across visits —
+    cached weight encodings, reused workspace buffers holding the previous
+    visit's values — never changes a decision or an output bit, in any mode.
+    """
+
+    def test_byte_identical_decisions_and_outputs(self, mode, seed):
+        scenario = random_scenario(seed)
+        cold = run_scenario(mode, scenario, seed)
+        warm = run_scenario(mode, scenario, seed, warm_up=True)
+        # The warm pass really ran on cached encodings.
+        assert cold["weight_cache"]["hits"] == 0
+        assert warm["weight_cache"]["hits"] == warm["weight_cache"]["entries"] > 0
+        assert warm["stats"] == cold["stats"], (mode, seed, scenario)
+        # The warm-up occupied one step, so queued outcomes carry step + 1.
+        assert warm["detection_sig"] == _shift_steps(cold["detection_sig"], 1)
+        assert warm["decision_sig"] == _shift_steps(cold["decision_sig"], 1)
+        assert np.array_equal(warm["output"], cold["output"], equal_nan=True)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
@@ -320,9 +352,12 @@ class TestWeightEncodingCache:
 # ---------------------------------------------------------------------------
 
 class TestDispatchAccounting:
-    def test_fused_counters_match_cost_model(self):
+    @pytest.mark.parametrize("mode", ["fused", "fused+deferred", "fused+async"])
+    def test_fused_counters_match_cost_model(self, mode):
+        """Encode/carry launches happen in the forward pass whatever the
+        verification mode, so every mode pays the same model count."""
         attention = make_attention(31)
-        checker = ATTNChecker(ATTNCheckerConfig())
+        checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode]))
         forward(attention, checker, seed=600)
         cold = sum(SectionCostModel.checksum_gemm_dispatches_per_layer(
             steady_state=False).values())
@@ -331,6 +366,44 @@ class TestDispatchAccounting:
         steady = sum(SectionCostModel.checksum_gemm_dispatches_per_layer(
             steady_state=True).values())
         assert checker.dispatch_counts["gemm"] == cold + steady
+        checker.drain()
+        checker.close()
+
+    @pytest.mark.parametrize("section", list(SECTION_REGISTRY))
+    def test_single_section_counters_match_cost_model(self, section):
+        """With only one section enabled, each section pays its own model
+        count, cold and steady.  S_O carries col(CL), so an O-only pass still
+        runs S_CL's column chain (encode col(AP), carry it through V) but
+        none of its row side."""
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(34))
+        model.eval()
+        batch = dict(SyntheticMRPC(
+            num_examples=4, max_seq_len=model.config.max_seq_len,
+            vocab_size=model.config.vocab_size,
+        ).encode(range(2)))
+        frequencies = {name: float(name == section) for name in SECTION_REGISTRY}
+        checker = ATTNChecker(ATTNCheckerConfig(
+            protect_scope="attention+ffn", frequencies=frequencies,
+        ))
+        upstream = 2 if section == "O" else 0
+        layers = model.config.num_layers
+        model.set_attention_hooks(checker)
+        try:
+            counts = []
+            for _ in range(2):
+                before = checker.dispatch_counts["gemm"]
+                model(batch["input_ids"], attention_mask=batch["attention_mask"])
+                counts.append(checker.dispatch_counts["gemm"] - before)
+        finally:
+            model.set_attention_hooks(None)
+        for steady_state, measured in zip((False, True), counts):
+            per_layer = SectionCostModel.checksum_gemm_dispatches_per_layer(
+                steady_state=steady_state, scope="attention+ffn")
+            assert measured == (per_layer[section] + upstream) * layers
+        assert set(checker.stats.sections) == set(SECTION_REGISTRY)
+        assert all(stats.checks_run == (2 * layers if name == section else 0)
+                   for name, stats in checker.stats.sections.items())
+        checker.close()
 
     def test_model_rejects_unknown_inputs(self):
         with pytest.raises(KeyError):
@@ -342,6 +415,31 @@ class TestDispatchAccounting:
         forward(attention, checker, seed=800)
         # Immediate mode: one verification per enabled section per layer.
         assert checker.dispatch_counts["detect"] == 3
+
+    @pytest.mark.parametrize("mode", ["immediate", "deferred", "async"])
+    def test_detect_counter_matches_verification_model(self, mode):
+        """Queued modes stack every layer's boundary into one verification
+        per section per step; immediate verifies per layer."""
+        model = build_model("bert-base", size="tiny", rng=np.random.default_rng(35))
+        model.eval()
+        batch = dict(SyntheticMRPC(
+            num_examples=4, max_seq_len=model.config.max_seq_len,
+            vocab_size=model.config.vocab_size,
+        ).encode(range(2)))
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode=mode))
+        steps = 2
+        model.set_attention_hooks(checker)
+        try:
+            for _ in range(steps):
+                model(batch["input_ids"], attention_mask=batch["attention_mask"])
+                checker.end_step()
+            checker.drain()
+        finally:
+            model.set_attention_hooks(None)
+        per_step = SectionCostModel.verification_dispatches_per_step(
+            mode, model.config.num_layers)
+        assert checker.dispatch_counts["detect"] == steps * sum(per_step.values())
+        checker.close()
 
 
 # ---------------------------------------------------------------------------

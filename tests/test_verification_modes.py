@@ -83,7 +83,7 @@ def random_scenario(seed):
     }
 
 
-def run_scenario(mode, scenario, seed, extra_config=None):
+def run_scenario(mode, scenario, seed, extra_config=None, warm_up=False):
     """One single-fault protected forward pass under one checker mode.
 
     Returns everything the equivalence assertions need: the protected output,
@@ -91,6 +91,10 @@ def run_scenario(mode, scenario, seed, extra_config=None):
     ``extra_config`` merges additional :class:`ATTNCheckerConfig` kwargs
     (e.g. ``array_backend``) — the cross-array-backend campaign in
     ``test_backend_dispatch.py`` reuses this helper through it.
+    ``warm_up`` first runs one clean forward pass on a different input
+    through the same checker and then zeroes its statistics, so the faulty
+    pass runs on cached weight encodings and previously used workspace
+    buffers instead of a fresh engine.
     """
     attention = MultiHeadAttention(
         hidden_size=scenario["hidden"], num_heads=scenario["heads"], dropout_p=0.0,
@@ -106,6 +110,16 @@ def run_scenario(mode, scenario, seed, extra_config=None):
         rng=np.random.default_rng(4000 + seed),
     )
     checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode], **(extra_config or {})))
+    if warm_up:
+        clean = np.random.default_rng(5000 + seed).normal(size=x.shape).astype(x.dtype)
+        attention.set_hooks(checker)
+        try:
+            attention(Tensor(clean))
+        finally:
+            attention.set_hooks(None)
+        checker.end_step()
+        checker.drain()
+        checker.stats.reset()
     attention.set_hooks(ComposedHooks([injector, checker]))
     try:
         output = attention(Tensor(x)).data.copy()
@@ -140,6 +154,7 @@ def run_scenario(mode, scenario, seed, extra_config=None):
         "corrections": checker.stats.total_corrections,
         "stale": checker.stats.total_stale_detections,
         "outcomes": outcomes,
+        "weight_cache": checker.weight_cache_stats(),
     }
 
 
