@@ -126,6 +126,7 @@ def _run_measured(workers: int, shards: int, global_batch: int):
             "comm_allreduce_seconds": timers.get("comm/allreduce", 0.0),
             "comm_verify_seconds": timers.get("comm/verify", 0.0),
             "counters": trainer.collective_counters(),
+            "num_buckets": trainer.metrics[-1].buckets,
             "state": state,
         }
     finally:
@@ -167,12 +168,16 @@ def test_fig12_measured_data_parallel_scaling(benchmark, report):
     assert byte_identical
 
     # Hard gate 2: collective checksum dispatches match the cost model
-    # exactly — one encode per tensor per rank, one verify per tensor, per
-    # step, counter-verified against the protected collective.
+    # exactly — per step, one encode per gradient bucket plus the loss slot
+    # per rank and one verify per bucket plus the loss slot, counter-verified
+    # against the protected collective.
     num_gradients = len(strong[0]["state"]) + 1  # parameters + the loss scalar
+    num_buckets = strong[0]["num_buckets"]
     for p in strong + weak:
+        assert p["num_buckets"] == num_buckets  # same model, same bucket cap
         per_step = SectionCostModel.collective_checksum_dispatches_per_step(
-            num_gradients=num_gradients, world_size=p["shards"]
+            num_gradients=num_gradients, world_size=p["shards"],
+            num_buckets=p["num_buckets"],
         )
         counters = p["counters"]
         assert counters["checksum_encodes"] == per_step["encode"] * p["steps"]
@@ -214,6 +219,7 @@ def test_fig12_measured_data_parallel_scaling(benchmark, report):
             "byte_identical_across_workers": byte_identical,
             "collective_dispatch": {
                 "num_gradients": num_gradients,
+                "num_buckets": num_buckets,
                 "counters_match_cost_model": counters_match,
             },
         },

@@ -2,16 +2,18 @@
 
 Measures the end-to-end training-step time of :class:`DataParallelTrainer`
 on the thread executor with ``overlap_grad_reduce`` off and on, for
-W ∈ {1, 2, 4} ranks.  The overlapped path launches each gradient bucket's
-checksum-protected ``contribute`` from inside backward the moment the
-bucket's last gradient accumulates, with the last rank folding eagerly, so
-reduction work hides behind the remaining backprop instead of serialising
-after it.
+W ∈ {1, 2, 4} ranks.  Both arms run the same bucketed, checksum-protected
+reduction with the last rank folding eagerly; they differ only in when a
+bucket launches.  The overlapped arm launches each bucket's ``contribute``
+from inside backward the moment the bucket's last gradient accumulates, so
+reduction work hides behind the remaining backprop.  The "plain" arm
+launches the completed buckets in readiness order right after backward, so
+the reduction serialises after it.
 
 Hard gates (the run fails if they break):
 
-* overlapped and non-overlapped training produce byte-identical weights,
-  both equal to the phase-split serial reference;
+* overlapped and plain training produce byte-identical weights, both equal
+  to the serial single-worker reference;
 * the collective checksum dispatch counters match the bucket-aware
   ``SectionCostModel.collective_checksum_dispatches_per_step`` exactly;
 * on hosts with at least two CPUs, the best overlapped step time across the
@@ -139,7 +141,7 @@ def test_overlap_speedup(benchmark, report):
     reference = _serial_reference()
 
     # Hard gate 1: both arms train byte-identical weights at every worker
-    # count, all equal to the phase-split serial reference.
+    # count, all equal to the serial single-worker reference.
     byte_identical = all(
         _states_equal(reference, p[arm]["state"])
         for p in points

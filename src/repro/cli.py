@@ -332,8 +332,8 @@ def run_train_parallel(args: argparse.Namespace) -> str:
             trainer.close()
 
     results, state, timers, counters = run(args.workers, args.executor)
-    # The reference is always the phase-split serial path, so with --overlap
-    # the comparison doubles as the overlapped-vs-non-overlapped identity.
+    # The reference is one serial worker launching buckets after backward,
+    # so with --overlap the comparison also pins hook launches to it.
     reference_state = (
         run(1, "serial", overlap=False)[1]
         if args.workers > 1 or args.overlap
@@ -636,11 +636,12 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=["serial", "thread", "process"],
                         help="execution backend for the train_parallel workers")
     parser.add_argument("--overlap", action="store_true",
-                        help="bucketed backward-overlapped gradient reduction "
-                             "for train_parallel (byte-identical, overlapped)")
+                        help="launch train_parallel's gradient buckets during "
+                             "backward (byte-identical, overlapped)")
     parser.add_argument("--bucket-cap-mb", type=float, default=1.0,
                         dest="bucket_cap_mb",
-                        help="soft per-bucket size cap in MiB for --overlap")
+                        help="soft per-bucket size cap in MiB of "
+                             "train_parallel's gradient reduction")
     parser.add_argument("--trials", type=int, default=2, help="trials per cell for campaign experiments")
     parser.add_argument("--requests", type=int, default=8,
                         help="request count for the serve experiment")

@@ -9,14 +9,13 @@ This is the classic DDP bucketing trick, applied to the checksum-protected
 collective of :mod:`repro.comm.protected`.
 
 Each bucket reduces as **one flat contiguous tensor**: :meth:`flatten` copies
-the member gradients into a single flat buffer (missing gradients fill as
-zeros, matching the unbucketed trainer's zeros-for-skipped contract) and
-:meth:`unflatten` returns per-parameter reshaped views into the reduced flat
-buffer.  Because the rank-ordered left fold of
+the member gradients into a single flat buffer (gradients backward skipped
+fill as zeros) and :meth:`unflatten` returns per-parameter reshaped views
+into the reduced flat buffer.  Because the rank-ordered left fold of
 :class:`~repro.comm.collective.ThreadCollective` is elementwise, reducing the
 flat concatenation is **bit-identical** to reducing every member tensor
-separately — the property that keeps the overlapped trainer byte-equivalent
-to the phase-split one for any bucket size and worker count.
+separately — the property that makes the trainer's weights independent of
+bucket size, launch mode and worker count.
 
 The protection story is unchanged in kind but bucket-granular in cost: the
 :class:`~repro.comm.protected.ProtectedCollective` attaches one ``(1, 2)``
@@ -187,8 +186,7 @@ class GradientBucketer:
 
         ``grads`` is the full registration-order gradient list (entries may
         be ``None`` for parameters the backward pass skipped — their slices
-        fill with zeros, the same zeros-for-skipped contract as the
-        unbucketed trainer's payload).  The copy is a pure value-preserving
+        fill with zeros).  The copy is a pure value-preserving
         concatenation, so the rank-ordered elementwise fold over the flat
         buffer is bit-identical to folding every member separately.
         """
@@ -217,8 +215,7 @@ class GradientBucketer:
 
         Returns ``{registration-order param index: view}``.  The views share
         the reduced buffer's memory — consumers (clipping, the optimizer)
-        only read gradients, exactly as they only read the shared reduced
-        arrays of the unbucketed path.
+        only read gradients.
         """
         spec = self.buckets[bucket]
         out: Dict[int, Any] = {}

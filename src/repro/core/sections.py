@@ -602,18 +602,19 @@ class SectionCostModel:
         exactly once per tensor regardless of the world size (``verify`` =
         tensors) — the first rank through ``finish`` verifies, its peers
         pick the cached verdict up.  ``num_gradients`` counts the payload
-        tensors of the contribution (the trainer ships one loss scalar
-        alongside the parameter gradients, so pass ``len(params) + 1``).
+        tensors of a per-tensor contribution (parameter gradients plus one
+        loss scalar, so ``len(params) + 1``).
 
-        With ``num_buckets`` set, the counts model the *bucketed* overlapped
-        trainer instead: every bucket ships as one flat tensor under its own
-        rendezvous key and the loss scalar rides a key of its own, so each
-        rank encodes ``num_buckets + 1`` tensors and the shared results are
-        verified ``num_buckets + 1`` times — the per-tensor dispatch count
-        collapses from ``num_gradients`` to ``num_buckets + 1``, which is the
-        measurable Python-dispatch saving of bucketing.  A clean step's
-        counts; bucket-granular dirty retries add their own dispatches on
-        top.
+        With ``num_buckets`` set, the counts model the bucketed reduction
+        that :class:`~repro.training.DataParallelTrainer` always uses: every
+        bucket ships as one flat tensor under its own rendezvous key and the
+        loss scalar rides the final bucket's payload as a second tensor, so
+        each rank encodes ``num_buckets + 1`` tensors and the shared results
+        are verified ``num_buckets + 1`` times — the per-tensor dispatch
+        count collapses from ``num_gradients`` to ``num_buckets + 1``, which
+        is the measurable Python-dispatch saving of bucketing.  A clean
+        step's counts; bucket-granular dirty retries add their own
+        dispatches on top.
 
         Exact counts, compared against ``ProtectedCollective.counters()``
         deltas by the parallel-training tests, ``BENCH_fig12.json`` and

@@ -451,12 +451,11 @@ class CollectiveFaultSpec:
         Same error classes as :class:`FaultSpec`.
     key_contains:
         Optional substring the rendezvous key must contain for the spec to
-        fire.  The bucketed trainer contributes under one key per bucket
-        (``step{N}/bucket{k}``) plus a loss key, so a spec with
-        ``key_contains="bucket2"`` strikes exactly that bucket's send buffer
-        — the lever the bucket-granular retry tests use.  ``None`` keeps the
-        unbucketed behaviour: fire on the rank's first contribution of the
-        step.
+        fire.  The trainer contributes under one key per gradient bucket
+        (``step{N}/bucket{k}``; the loss scalar rides the final bucket), so
+        a spec with ``key_contains="bucket2"`` strikes exactly that bucket's
+        send buffer — the lever the bucket-granular retry tests use.
+        ``None`` fires on the rank's first contribution of the step.
     """
 
     step: int

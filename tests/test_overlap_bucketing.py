@@ -2,9 +2,10 @@
 
 Covers the :mod:`repro.comm.bucketing` layer (reverse-registration
 partitioning, flat roundtrips, readiness tracking), the eager-reduce
-collective mode, and the overlapped :class:`DataParallelTrainer` path — whose
-non-negotiable gate is byte-identity to the phase-split serial reference for
-any bucket cap and worker count, on thread and process executors alike.
+collective mode, and the bucketed :class:`DataParallelTrainer` reduction —
+whose non-negotiable gate is byte-identity to the serial post-backward-launch
+reference for any bucket cap, launch mode and worker count, on thread and
+process executors alike.
 Bucket-granular dirty retries and the bucket-aware dispatch accounting of
 ``SectionCostModel.collective_checksum_dispatches_per_step`` are
 counter-verified.
@@ -66,7 +67,10 @@ def states_equal(a, b):
 
 @pytest.fixture(scope="module")
 def reference_state():
-    """Phase-split serial reference at shards=4 — the byte-identity anchor."""
+    """Serial reference at shards=4, buckets launched after backward — the
+    byte-identity anchor.  ``TestIndependentReferences`` in
+    ``test_parallel_training.py`` pins this path to references that share no
+    code with the trainer's reduction."""
     state, _, _ = train_overlapped(workers=1, shards=4, executor="serial",
                                    overlap=False)
     return state
@@ -179,8 +183,8 @@ class TestEagerReduce:
 
 
 class TestOverlappedByteIdentity:
-    """The non-negotiable gate: overlapped == non-overlapped == serial,
-    byte-for-byte, for any bucket cap and worker count."""
+    """The non-negotiable gate: hook launches == post-backward launches ==
+    serial, byte-for-byte, for any bucket cap and worker count."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("cap", CAPS)
@@ -210,9 +214,14 @@ class TestOverlappedByteIdentity:
         assert results[0].buckets >= 1
 
     def test_overlapped_matches_non_overlapped_same_worker_count(self):
-        plain, _, _ = train_overlapped(workers=2, shards=2, overlap=False)
-        overlapped, _, _ = train_overlapped(workers=2, shards=2, cap=0.02)
+        # overlap_grad_reduce only moves the launches: hook launches during
+        # backward against launches right after it.
+        plain, _, plain_trainer = train_overlapped(workers=2, shards=2, overlap=False)
+        overlapped, _, trainer = train_overlapped(workers=2, shards=2, cap=0.02)
         assert states_equal(plain, overlapped)
+        assert plain_trainer.bucket_counters()["overlapped_launches"] == 0
+        counters = trainer.bucket_counters()
+        assert counters["overlapped_launches"] == counters["bucket_launches"] > 0
 
     def test_deferred_mode_with_checker_matches_reference(self):
         # A checker under "reexecute" forces deferred launches (a re-executed

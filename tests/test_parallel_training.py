@@ -34,7 +34,10 @@ from repro.training import (
     DataParallelTrainer,
     ReplicaSpec,
     StaleDetectionAbort,
+    Trainer,
+    TrainerConfig,
 )
+from repro.training.parallel import _RankRunner
 from repro.utils.timing import TimingRegistry
 
 
@@ -348,6 +351,58 @@ class TestProtectedCollectiveDetection:
             SectionCostModel.collective_checksum_dispatches_per_step(1, 0)
 
 
+class TestIndependentReferences:
+    """References that share no code with the trainer's reduction path."""
+
+    def test_one_shard_matches_single_device_trainer(self):
+        # A world of one folds nothing and scales by exactly 1.0, so the
+        # data-parallel step must reproduce the plain single-device step.
+        state, _ = train_to_state(workers=1, shards=1, executor="serial")
+        trainer = Trainer(SPEC.build(), TrainerConfig())
+        for batch in BATCHES:
+            trainer.train_step(batch)
+        assert states_equal(trainer.model.state_dict(), state)
+
+    def test_adopted_gradients_equal_per_tensor_mean_of_replica_shards(self, monkeypatch):
+        shards = 4
+        per = len(BATCHES[0]["labels"]) // shards
+        shard_grads = []
+        for rank in range(shards):
+            model = SPEC.build()
+            model.train()
+            shard = {k: v[rank * per:(rank + 1) * per] for k, v in BATCHES[0].items()}
+            output = model(shard["input_ids"], attention_mask=shard["attention_mask"],
+                           labels=shard["labels"])
+            output.loss.backward()
+            shard_grads.append([
+                p.grad if p.grad is not None else np.zeros_like(p.data)
+                for p in model.parameters()
+            ])
+        # Oracle: the rank-ordered mean, one rendezvous per gradient tensor.
+        oracle_coll = ThreadCollective(shards, op="mean")
+        for rank in range(shards):
+            for i, grad in enumerate(shard_grads[rank]):
+                oracle_coll.contribute(f"t{i}", rank, [grad])
+        oracle = [oracle_coll.finish(f"t{i}", 0)[0] for i in range(len(shard_grads[0]))]
+
+        adopted = {}
+        original_apply = _RankRunner.apply
+
+        def capture(runner, reduced, mean_loss):
+            if runner.rank not in adopted:
+                adopted[runner.rank] = [np.array(g, copy=True) for g in reduced]
+            original_apply(runner, reduced, mean_loss)
+
+        monkeypatch.setattr(_RankRunner, "apply", capture)
+        train_to_state(workers=1, shards=shards, executor="serial", steps=1)
+        assert sorted(adopted) == list(range(shards))
+        for rank in range(shards):
+            assert len(adopted[rank]) == len(oracle)
+            for got, want in zip(adopted[rank], oracle):
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+
+
 class TestWorkerEquivalence:
     """N workers must train byte-identically to the 1-worker reference."""
 
@@ -356,10 +411,12 @@ class TestWorkerEquivalence:
         reference, _ = train_to_state(workers=1, shards=4)
         state, trainer = train_to_state(workers=workers, shards=4, executor="thread")
         assert states_equal(reference, state)
-        # Collective dispatch accounting matches the cost model at any W.
+        # Collective dispatch accounting matches the cost model at any W:
+        # one encode per bucket plus the loss slot per rank, B + 1 verifies.
         num_params = len(reference)
         per_step = SectionCostModel.collective_checksum_dispatches_per_step(
-            num_gradients=num_params + 1, world_size=4
+            num_gradients=num_params + 1, world_size=4,
+            num_buckets=trainer.metrics[-1].buckets,
         )
         counters = trainer.collective_counters()
         assert counters["checksum_encodes"] == per_step["encode"] * len(BATCHES)
@@ -370,6 +427,23 @@ class TestWorkerEquivalence:
         reference, _ = train_to_state(workers=1, shards=2)
         state, _ = train_to_state(workers=2, shards=2, executor="process")
         assert states_equal(reference, state)
+
+    def test_dead_process_worker_is_named_and_close_returns(self):
+        config = DataParallelConfig(workers=2, shards=2, executor="process")
+        trainer = DataParallelTrainer(model_spec=SPEC, config=config)
+        try:
+            trainer.train_step(BATCHES[0])
+            victim = trainer._procs.procs[1]
+            victim.kill()
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            with pytest.raises(RuntimeError, match="worker 1 died"):
+                trainer.train_step(BATCHES[1])
+        finally:
+            closer = threading.Thread(target=trainer.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30.0)
+        assert not closer.is_alive()
 
     def test_different_shard_counts_differ(self):
         # Sanity: the equivalence is per shard count, not universal — the
@@ -447,14 +521,19 @@ class TestWorkerEquivalence:
 class TestDirtyReductionPolicies:
     """An injected collective fault is detected and handled per stale_policy."""
 
-    def _injector(self, error_type="numeric", rank=1, step=2):
+    def _injector(self, error_type="numeric", rank=1, step=2, array_index=None):
         return CollectiveFaultInjector(
-            [CollectiveFaultSpec(step=step, rank=rank, error_type=error_type)], seed=3
+            [CollectiveFaultSpec(step=step, rank=rank, error_type=error_type,
+                                 array_index=array_index)],
+            seed=3,
         )
 
     def test_record_counts_and_proceeds(self):
+        # Array 0 of a bucket contribution is its flat gradient (the checksum
+        # matrix rides last), so the adopted reduction really is corrupted.
         state, trainer = train_to_state(
-            workers=2, shards=2, policy="record", collective_injector=self._injector()
+            workers=2, shards=2, policy="record",
+            collective_injector=self._injector(array_index=0),
         )
         dirty = [r.dirty_reductions for r in trainer.metrics]
         assert dirty == [0, 1, 0]
@@ -501,7 +580,8 @@ class TestDirtyReductionPolicies:
             records.append(injector.records[0])
         first, second = records
         assert first.rank == 1 and first.step == 2
-        assert first.key == "step2/grads"
+        # The rank's first contribution of the step: its first bucket.
+        assert first.key == "step2/bucket0"
         # Same seed, same rank generator: the campaign replays identically.
         assert (first.array_index, first.position, first.injected_value) == (
             second.array_index, second.position, second.injected_value,
