@@ -28,6 +28,7 @@ from repro.analysis import format_percent, format_table
 from repro.core import SectionCostModel
 from repro.perfmodel import MultiGPUScaleModel
 from repro.perfmodel.scale import BILLION_SCALE_MODELS
+from repro.comm import GradientBucketer
 from repro.training import DataParallelConfig, DataParallelTrainer, ReplicaSpec
 
 PAPER_OVERHEAD = {"30B": 0.0632, "60B": 0.0633, "100B": 0.0634}
@@ -79,6 +80,7 @@ STRONG_GLOBAL_BATCH = 8
 WEAK_PER_SHARD_BATCH = 2
 WARMUP_STEPS = 1
 MEASURED_STEPS = 2
+MEASURED_SPEC = ReplicaSpec(name="bert-base", size="tiny", seed=7, num_labels=2)
 
 
 def _scaling_batch(seed: int, batch: int, seq: int = 10, vocab: int = 100):
@@ -103,7 +105,7 @@ def _run_measured(workers: int, shards: int, global_batch: int):
         executor="serial" if workers == 1 else "thread",
     )
     trainer = DataParallelTrainer(
-        model_spec=ReplicaSpec(name="bert-base", size="tiny", seed=7, num_labels=2),
+        model_spec=MEASURED_SPEC,
         config=config,
     )
     try:
@@ -126,7 +128,7 @@ def _run_measured(workers: int, shards: int, global_batch: int):
             "comm_allreduce_seconds": timers.get("comm/allreduce", 0.0),
             "comm_verify_seconds": timers.get("comm/verify", 0.0),
             "counters": trainer.collective_counters(),
-            "num_buckets": trainer.metrics[-1].buckets,
+            "num_buckets": [r.buckets for r in trainer.metrics],
             "state": state,
         }
     finally:
@@ -171,13 +173,18 @@ def test_fig12_measured_data_parallel_scaling(benchmark, report):
     # exactly — per step, one encode per gradient bucket plus the loss slot
     # per rank and one verify per bucket plus the loss slot, counter-verified
     # against the protected collective.
+    # B is partitioned here from a fresh replica, independent of the
+    # trainers, and every step result must report it.
     num_gradients = len(strong[0]["state"]) + 1  # parameters + the loss scalar
-    num_buckets = strong[0]["num_buckets"]
+    num_buckets = GradientBucketer(
+        [p.data for p in MEASURED_SPEC.build().parameters()],
+        DataParallelConfig().bucket_cap_mb,
+    ).num_buckets
     for p in strong + weak:
-        assert p["num_buckets"] == num_buckets  # same model, same bucket cap
+        assert p["num_buckets"] == [num_buckets] * p["steps"]
         per_step = SectionCostModel.collective_checksum_dispatches_per_step(
             num_gradients=num_gradients, world_size=p["shards"],
-            num_buckets=p["num_buckets"],
+            num_buckets=num_buckets,
         )
         counters = p["counters"]
         assert counters["checksum_encodes"] == per_step["encode"] * p["steps"]

@@ -507,6 +507,9 @@ def _process_worker(conn, spec: ReplicaSpec, config: DataParallelConfig,
                     for rank, (reduced, mean_loss) in payload.items():
                         runners[rank].apply(reduced, mean_loss)
                     conn.send(("ok", None))
+                elif cmd == "layout":
+                    params = runners[owned[0]].params
+                    conn.send(("ok", [(p.data.shape, p.data.dtype.str) for p in params]))
                 elif cmd == "state":
                     conn.send(("ok", runners[payload].model.state_dict()))
                 elif cmd == "load_state":
@@ -733,15 +736,17 @@ class DataParallelTrainer:
 
         # Bucketed reduction.  The process executor's coordinator buckets
         # the gradients its workers ship back (no hooks across the pipe), so
-        # it partitions a locally built replica's parameters.
-        params = (
-            self.runners[0].params if self.runners
-            else model_spec.build().parameters()  # type: ignore[union-attr]
-        )
-        self._xp = namespace_of(params[0].data)
-        self._bucketer = GradientBucketer(
-            [p.data for p in params], self.config.bucket_cap_mb
-        )
+        # it partitions worker 0's parameter layout: zero-stride stand-ins
+        # carry the shapes and dtypes without a replica of the weights.
+        if self._procs is not None:
+            arrays = [
+                np.broadcast_to(np.zeros((), dtype=dtype), shape)
+                for shape, dtype in self._procs.request(0, "layout", None)
+            ]
+        else:
+            arrays = [p.data for p in self.runners[0].params]
+        self._xp = namespace_of(arrays[0])
+        self._bucketer = GradientBucketer(arrays, self.config.bucket_cap_mb)
         self._bucket_stats = BucketAccounting()
         self._bucket_payloads: List[Dict[int, List[Any]]] = [{} for _ in range(world)]
         self._first_launch: List[Optional[float]] = [None] * world
@@ -803,7 +808,6 @@ class DataParallelTrainer:
         try:
             for rank in owned:
                 runner = self.runners[rank]
-                self._bucket_payloads[rank] = {}
                 self._first_launch[rank] = None
                 loss, stale, reexec = runner.forward_backward(shards[rank])
                 backward_end = time.perf_counter()
@@ -816,6 +820,9 @@ class DataParallelTrainer:
                 # buckets the loss never reached (ascending).
                 for bucket in runner.take_ready_buckets():
                     self._launch_bucket(rank, bucket, runner.gradients(), loss, False)
+                # The retained flat payloads now hold this shard's gradient;
+                # apply() installs the reduction, so drop the local copies.
+                runner.model.zero_grad()
                 self._shard_losses[rank] = loss
                 self._stale_counts[rank] = stale
                 self._reexec_counts[rank] = reexec
@@ -895,6 +902,9 @@ class DataParallelTrainer:
             total_retries += attempt
         out: Dict[int, Tuple[List[Any], float]] = {}
         for rank in owned:
+            # Every bucket verified or was given up on: no retry can need
+            # the retained payloads any more.
+            self._bucket_payloads[rank] = {}
             self._retry_counts[rank] += total_retries
             self._mean_losses[rank] = loss_val[rank]
             out[rank] = (self._materialize_bucket_grads(flat[rank]), loss_val[rank])
@@ -1014,11 +1024,12 @@ class DataParallelTrainer:
         thread and serial executors.
         """
         for reply in replies:
-            for rank, (loss, stale, reexec, grads) in reply.items():
+            for rank in list(reply):
+                # Popped so each shipped gradient list frees once flattened.
+                loss, stale, reexec, grads = reply.pop(rank)
                 self._shard_losses[rank] = loss
                 self._stale_counts[rank] = stale
                 self._reexec_counts[rank] = reexec
-                self._bucket_payloads[rank] = {}
                 for bucket in range(self._bucketer.num_buckets):
                     self._launch_bucket(rank, bucket, grads, loss, False)
         return self._reduce_buckets_with_policy(

@@ -17,6 +17,7 @@ from repro.comm import (
     CollectiveClosed,
     CollectiveError,
     DirtyReductionError,
+    GradientBucketer,
     ProtectedCollective,
     ThreadCollective,
     gradient_checksum,
@@ -413,10 +414,15 @@ class TestWorkerEquivalence:
         assert states_equal(reference, state)
         # Collective dispatch accounting matches the cost model at any W:
         # one encode per bucket plus the loss slot per rank, B + 1 verifies.
+        # B comes from partitioning a fresh replica, not from the trainer.
         num_params = len(reference)
+        num_buckets = GradientBucketer(
+            [p.data for p in SPEC.build().parameters()],
+            DataParallelConfig().bucket_cap_mb,
+        ).num_buckets
+        assert [r.buckets for r in trainer.metrics] == [num_buckets] * len(BATCHES)
         per_step = SectionCostModel.collective_checksum_dispatches_per_step(
-            num_gradients=num_params + 1, world_size=4,
-            num_buckets=trainer.metrics[-1].buckets,
+            num_gradients=num_params + 1, world_size=4, num_buckets=num_buckets,
         )
         counters = trainer.collective_counters()
         assert counters["checksum_encodes"] == per_step["encode"] * len(BATCHES)
@@ -542,13 +548,18 @@ class TestDirtyReductionPolicies:
         reference, _ = train_to_state(workers=1, shards=2)
         assert not states_equal(reference, state)
 
+    # A bucket contribution is [flat gradient, loss, checksums]: array 0
+    # corrupts the gradient the retry must restore, array 2 only the
+    # checksum matrix that flags the reduction dirty.
+    @pytest.mark.parametrize("array_index", [0, 2], ids=["grad", "checksums"])
     @pytest.mark.parametrize("error_type", ["numeric", "inf", "nan"])
-    def test_reexecute_recovers_byte_identically(self, error_type):
+    def test_reexecute_recovers_byte_identically(self, error_type, array_index):
         reference, _ = train_to_state(workers=1, shards=2)
+        injector = self._injector(error_type=error_type, array_index=array_index)
         state, trainer = train_to_state(
-            workers=2, shards=2, policy="reexecute",
-            collective_injector=self._injector(error_type=error_type),
+            workers=2, shards=2, policy="reexecute", collective_injector=injector,
         )
+        assert [r.array_index for r in injector.records] == [array_index]
         retries = [r.reduction_reexecutions for r in trainer.metrics]
         assert retries == [0, 1, 0]
         assert trainer.collective_counters()["mismatches"] == 1
