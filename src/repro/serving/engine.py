@@ -35,6 +35,10 @@ effects.
 Timer keys (see the README glossary): ``serve/schedule`` (padding + cache
 allocation), ``serve/prefill``, ``serve/decode`` and ``serve/verify`` (the
 outcome drain / eviction bookkeeping).
+
+Serving never runs a backward pass, so :meth:`ServingEngine.run` executes
+under :func:`~repro.tensor.autograd.no_grad`: prefill and decode record no
+autograd graph, and no activation is kept alive for a gradient.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import numpy as np
 from repro.core.attention_checker import ATTNChecker
 from repro.faults.injector import FaultInjector
 from repro.serving.workload import PAD_TOKEN_ID, ServingRequest
+from repro.tensor.autograd import no_grad
 from repro.utils.timing import TimingRegistry
 
 __all__ = ["ServingConfig", "RequestResult", "ServingReport", "ServingEngine"]
@@ -238,9 +243,10 @@ class ServingEngine:
         self.decode_steps = 0
         self.decode_slot_steps = 0
         batch_size = self.config.max_batch_size
-        for batch_start in range(0, len(requests), batch_size):
-            batch = requests[batch_start : batch_start + batch_size]
-            results.extend(self._run_batch(batch_start // batch_size, batch))
+        with no_grad():
+            for batch_start in range(0, len(requests), batch_size):
+                batch = requests[batch_start : batch_start + batch_size]
+                results.extend(self._run_batch(batch_start // batch_size, batch))
         wall = time.perf_counter() - start
         checker_stats: Dict[str, int] = {}
         if self.checker is not None:

@@ -30,9 +30,12 @@ whole graph device-resident:
   masks) is adopted into the owning backend exactly once, at the operation
   that consumes it.
 
-On the NumPy backend every operation executes the identical op sequence of
-the historical pure-NumPy engine, so results are byte-identical to earlier
-releases (pinned by the seed-output goldens in the test suite).
+On the NumPy backend every operation is byte-identical to the historical
+pure-NumPy engine, except gradients summed over several broadcast leading
+axes (the weight and bias gradients of a batched GEMM among them), which
+:mod:`repro.tensor.ops` computes as one 2-D GEMM or one reduction (its
+module docstring says why); the seed-output goldens in the test suite pin
+the result.
 
 ABFT / fault-injection integration
 ----------------------------------
@@ -562,10 +565,10 @@ def log_softmax(x: ArrayLike, axis: int = -1) -> Tensor:
 def gelu(x: ArrayLike) -> Tensor:
     """Differentiable GELU (tanh approximation)."""
     x = Tensor._wrap(x)
-    out = ops.gelu(x.data)
+    out, t = ops.gelu(x.data, return_tanh=True)
 
     def backward(grad):
-        return (ops.gelu_backward(grad, x.data),)
+        return (ops.gelu_backward(grad, x.data, t),)
 
     return x._make_child(out, (x,), backward)
 

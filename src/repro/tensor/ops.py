@@ -11,9 +11,25 @@ machinery calls them directly on raw arrays.
 
 Following the HPC-Python guides, every kernel is expressed with broadcasting
 and whole-array operations — there are no Python-level loops over matrix
-elements anywhere in this module.  On the NumPy backend each kernel executes
-the exact operation sequence of the historical pure-NumPy implementation, so
-results are bit-identical to earlier releases.
+elements anywhere in this module.
+
+On the NumPy backend the kernels are bit-identical to the historical
+pure-NumPy implementation, with two exceptions that change rounding only:
+
+* :func:`matmul_backward` with a 2-D ``b`` and a batched ``a`` (every
+  ``Linear`` and every ``(B, S, K) @ (K, N)`` weight GEMM) folds the leading
+  axes into rows.  ``grad_b`` becomes one ``(K, B*S) @ (B*S, N)`` GEMM
+  instead of ``B`` small GEMMs into a ``(B, K, N)`` temporary summed over
+  axis 0, so it accumulates in a different order (last-ulp differences).
+  ``grad_a`` is the same dot products and stays bit-identical.
+* :func:`unbroadcast` sums every leading axis that broadcasting added in one
+  reduction instead of one sum per axis (for a bias gradient, all the rows
+  at once), again a different summation order.
+
+Both avoid a full-size throwaway array per call.  The other backward chains
+(GELU, layer norm) are evaluated with in-place operators on buffers the
+kernel allocated itself, in the historical operation order, so they stay
+bit-identical, NaN and INF results included.
 """
 
 from __future__ import annotations
@@ -70,8 +86,18 @@ def matmul_backward(
 
     ``grad_a = grad_out @ b^T`` and ``grad_b = a^T @ grad_out``; broadcasting
     over leading batch axes is undone by summing (:func:`unbroadcast`).
+
+    A 2-D ``b`` under a batched ``a`` (a weight GEMM) folds the leading axes
+    of ``a`` into rows: ``grad_b`` is then one 2-D GEMM that reduces over
+    every row at once, with no ``(B, K, N)`` temporary to sum afterwards.
     """
     xp = namespace_of(grad_out)
+    if b.ndim == 2 and a.ndim > 2:
+        k, n = b.shape
+        rows = grad_out.reshape(-1, n)
+        grad_a = xp.matmul(rows, xp.swapaxes(b, -1, -2)).reshape(a.shape)
+        grad_b = xp.matmul(xp.swapaxes(a.reshape(-1, k), -1, -2), rows)
+        return grad_a, grad_b
     grad_a = xp.matmul(grad_out, xp.swapaxes(b, -1, -2))
     grad_b = xp.matmul(xp.swapaxes(a, -1, -2), grad_out)
     return unbroadcast(grad_a, a.shape), unbroadcast(grad_b, b.shape)
@@ -87,9 +113,10 @@ def unbroadcast(grad: Any, shape: Tuple[int, ...]) -> Any:
     if tuple(grad.shape) == shape:
         return grad
     xp = namespace_of(grad)
-    # Sum over leading axes that broadcasting added.
-    while grad.ndim > len(shape):
-        grad = xp.sum(grad, axis=0)
+    # Sum over leading axes that broadcasting added, in one reduction.
+    extra = grad.ndim - len(shape)
+    if extra:
+        grad = xp.sum(grad, axis=tuple(range(extra)))
     # Sum over axes that were size-1 in the original.
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
@@ -144,22 +171,53 @@ def log_softmax_backward(grad_out: Any, out: Any, axis: int = -1) -> Any:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Any) -> Any:
-    """GELU activation (tanh approximation, as used by BERT/GPT-2)."""
+def _gelu_tanh(x: Any) -> Any:
+    """``tanh(sqrt(2/pi) * (x + 0.044715 x^3))``: the one GELU formula, read
+    by both :func:`gelu` and :func:`gelu_backward`."""
     xp = namespace_of(x)
     # ``x * x * x``, not ``x**3``: NumPy sends every power but 2 through the
     # generic ``pow`` loop, which costs several times the two multiplies.
-    return 0.5 * x * (1.0 + xp.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+    return xp.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
 
 
-def gelu_backward(grad_out: Any, x: Any) -> Any:
-    """Analytical gradient of the tanh-approximated GELU."""
-    xp = namespace_of(x)
-    x2 = x * x
-    u = _GELU_C * (x + 0.044715 * (x2 * x))
-    t = xp.tanh(u)
-    du_dx = _GELU_C * (1.0 + 3 * 0.044715 * x2)
-    return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
+def gelu(x: Any, return_tanh: bool = False) -> Any:
+    """GELU activation (tanh approximation, as used by BERT/GPT-2).
+
+    With ``return_tanh`` it returns ``(out, t)``, where ``t`` is the inner
+    ``tanh`` that :func:`gelu_backward` would otherwise recompute.
+    """
+    t = _gelu_tanh(x)
+    out = x * 0.5
+    out *= t + 1.0
+    return (out, t) if return_tanh else out
+
+
+def gelu_backward(grad_out: Any, x: Any, t: Optional[Any] = None) -> Any:
+    """Analytical gradient of the tanh-approximated GELU.
+
+    ``t`` is the forward ``tanh`` returned by ``gelu(x, return_tanh=True)``,
+    when the caller kept it.  The chain
+    ``grad * (0.5 (1 + t) + 0.5 x (1 - t^2) du/dx)`` is evaluated in that
+    order with in-place operators on at most three fresh buffers, so the
+    result is bit-identical to the allocating expression.
+    """
+    if t is None:
+        t = _gelu_tanh(x)
+    slope = x * 0.5
+    factor = -t
+    factor *= t
+    factor += 1.0  # 1 - t^2
+    slope *= factor
+    factor = x * x
+    factor *= 3 * 0.044715
+    factor += 1.0
+    factor *= _GELU_C  # du/dx
+    slope *= factor
+    out = t + 1.0
+    out *= 0.5
+    out += slope
+    out *= grad_out
+    return out
 
 
 def relu(x: Any) -> Any:
@@ -219,16 +277,17 @@ def layer_norm_backward(
     dgamma_axes = tuple(range(x_hat.ndim - 1))
     dgamma = xp.sum(grad_out * x_hat, axis=dgamma_axes)
     dbeta = xp.sum(grad_out, axis=dgamma_axes)
-    dxhat = grad_out * gamma
-    dx = (
-        inv_std
-        / d
-        * (
-            d * dxhat
-            - xp.sum(dxhat, axis=-1, keepdims=True)
-            - x_hat * xp.sum(dxhat * x_hat, axis=-1, keepdims=True)
-        )
-    )
+    # dx = inv_std / d * (d * dxhat - sum(dxhat) - x_hat * sum(dxhat * x_hat))
+    # with dxhat = grad_out * gamma, evaluated in that order in place on the
+    # dxhat buffer.
+    dx = grad_out * gamma
+    sum_dxhat = xp.sum(dx, axis=-1, keepdims=True)
+    projection = dx * x_hat
+    projection = x_hat * xp.sum(projection, axis=-1, keepdims=True)
+    dx *= d
+    dx -= sum_dxhat
+    dx -= projection
+    dx *= inv_std / d
     return dx, dgamma, dbeta
 
 
@@ -250,8 +309,8 @@ def dropout_mask(
     if p == 0.0:
         mask = np.ones(shape, dtype=np.float64)
     else:
-        keep = rng.random(shape) >= p
-        mask = keep.astype(np.float64) / (1.0 - p)
+        mask = (rng.random(shape) >= p).astype(np.float64)
+        mask /= 1.0 - p
     return mask if xp is None else xp.asarray(mask)
 
 

@@ -146,8 +146,10 @@ class SGD(Optimizer):
             if self.momentum:
                 if self._velocity[i] is None:
                     self._velocity[i] = p.xp.zeros_like(p.data)
-                self._velocity[i] = self.momentum * self._velocity[i] + grad
-                grad = self._velocity[i]
+                velocity = self._velocity[i]
+                velocity *= self.momentum
+                velocity += grad
+                grad = velocity
             p.data = p.data - self.lr * grad
         # Weight-derived checksum encodings (rowcs(W_V), the fused [W_Q|W_K]
         # operand) are stale from here on.
@@ -203,15 +205,28 @@ class AdamW(Optimizer):
             if self._m[i] is None:
                 self._m[i] = p.xp.zeros_like(p.data)
                 self._v[i] = p.xp.zeros_like(p.data)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * grad**2
-            self._moment_sums[i] = (_moment_sum(self._m[i]), _moment_sum(self._v[i]))
-            m_hat = self._m[i] / bias_c1
-            v_hat = self._v[i] / bias_c2
-            update = m_hat / (p.xp.sqrt(v_hat) + self.eps)
+            m, v = self._m[i], self._v[i]
+            # In place, but operation for operation the allocating formula
+            #   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+            #   w = w - lr (m / c1 / (sqrt(v / c2) + eps) + wd w)
+            # so weights and moments stay bit-identical to it.  The weights
+            # are rebound, not written: a reference to the old array (a
+            # rollback snapshot, a queued verification) never sees it change.
+            m *= self.beta1
+            m += (1.0 - self.beta1) * grad
+            v *= self.beta2
+            grad_sq = grad * grad
+            grad_sq *= 1.0 - self.beta2
+            v += grad_sq
+            self._moment_sums[i] = (_moment_sum(m), _moment_sum(v))
+            denom = p.xp.sqrt(v / bias_c2)
+            denom += self.eps
+            update = m / bias_c1
+            update /= denom
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - self.lr * update
+                update += self.weight_decay * p.data
+            update *= self.lr
+            p.data = p.data - update
         # Invalidate weight-derived checksum caches (see SGD.step).
         bump_weights_version()
 

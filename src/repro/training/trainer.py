@@ -113,7 +113,7 @@ def clip_gradients(model: Module, max_norm: float) -> float:
     total = 0.0
     for g in grads:
         xp = namespace_of(g)
-        total += float(xp.sum(xp.astype(g, xp.float64) ** 2))
+        total += float(xp.sum(xp.astype(g, xp.float64, copy=False) ** 2))
     norm = math.sqrt(total)
     if not math.isfinite(norm):
         return norm

@@ -12,6 +12,10 @@ What this file pins down:
 * **Kernel equivalence** — the generic :mod:`repro.tensor.ops` kernels and
   the checksum/EEC-ABFT stack produce the NumPy reference's results on every
   backend.
+* **In-place training kernels** — the GELU backward (autograd vs kernel,
+  NaN/INF included), the folded weight-GEMM backward and the in-place
+  AdamW / SGD-momentum updates equal their allocating formulas on every
+  backend: byte for byte, or to 1e-13 where the summation order changed.
 * **Fault campaign** — a synthetic single-layer attention pass per backend,
   one injected fault per scenario, across immediate / deferred / async
   verification: detection/correction decisions must be byte-identical to the
@@ -48,7 +52,10 @@ from repro.backend import (
 from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
 from repro.core.engine import ProtectionEngine
 from repro.nn.attention import SectionContext
+from repro.nn.module import Parameter
+from repro.tensor import autograd as ag
 from repro.tensor import ops
+from repro.training.optimizer import SGD, AdamW, _moment_sum
 from repro.utils.floatbits import flip_exponent_msb, flip_exponent_msb_inplace
 from repro.utils.timing import XFER_D2H, XFER_H2D
 
@@ -219,6 +226,152 @@ class TestKernelEquivalence:
         assert ops.cross_entropy(logits_dev, backend.from_numpy(labels)) == pytest.approx(
             ops.cross_entropy(logits_host, labels), rel=1e-5
         )
+
+
+# ---------------------------------------------------------------------------
+# Rewritten training kernels: bit-identity against the allocating formulas
+# ---------------------------------------------------------------------------
+
+#: GELU inputs covering NaN, +-INF, near-INF and the overflow thresholds of
+#: ``x*x*x`` (~5.6e102) and ``x*x`` (~1.3e154).
+GELU_EXTREMES = np.array([
+    np.nan, np.inf, -np.inf, 6e102, -6e102, 3e154, -3e154, 1e200, -1e200,
+    1.7e308, -1.7e308, 0.0, -0.0, 1e-310, -1e-310,
+])
+
+
+def _gelu_backward_allocating(xp, grad_out, x):
+    """The GELU gradient as one allocating expression (the formula the
+    in-place kernel evaluates)."""
+    x2 = x * x
+    t = xp.tanh(ops._GELU_C * (x + 0.044715 * (x2 * x)))
+    du_dx = ops._GELU_C * (1.0 + 3 * 0.044715 * x2)
+    return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
+
+
+def _adamw_allocating(xp, opt, slots, grads, step):
+    """One AdamW update of ``slots`` (dicts of w/m/v) in the allocating form."""
+    c1, c2 = 1.0 - opt.beta1**step, 1.0 - opt.beta2**step
+    for slot, grad in zip(slots, grads):
+        slot["m"] = opt.beta1 * slot["m"] + (1.0 - opt.beta1) * grad
+        slot["v"] = opt.beta2 * slot["v"] + (1.0 - opt.beta2) * grad**2
+        slot["sums"] = (_moment_sum(slot["m"]), _moment_sum(slot["v"]))
+        update = (slot["m"] / c1) / (xp.sqrt(slot["v"] / c2) + opt.eps)
+        update = update + opt.weight_decay * slot["w"]
+        slot["w"] = slot["w"] - opt.lr * update
+
+
+def _same_bytes(backend, a, b):
+    a, b = to_numpy(backend, a), to_numpy(backend, b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+class TestInPlaceTrainingKernels:
+    def _dev(self, name, host):
+        return get_backend(name).from_numpy(np.ascontiguousarray(host))
+
+    def test_autograd_gelu_backward_matches_kernel_bytes(self, name):
+        """The autograd op hands its forward ``tanh`` to the backward; the
+        gradient is byte-identical to the kernel recomputing it, NaN and INF
+        included, and equal to the allocating expression."""
+        backend = get_backend(name)
+        rng = np.random.default_rng(11)
+        x_host = np.concatenate([rng.normal(size=64) * 3.0, GELU_EXTREMES])
+        g_host = rng.normal(size=x_host.shape)
+        x_dev, g_dev = self._dev(name, x_host), self._dev(name, g_host)
+        with np.errstate(all="ignore"):
+            x = ag.Tensor(x_dev, requires_grad=True, backend=backend)
+            ag.gelu(x).backward(g_dev)
+            kernel = ops.gelu_backward(g_dev, x_dev)
+            reference = _gelu_backward_allocating(backend.xp, g_dev, x_dev)
+        assert _same_bytes(backend, x.grad, kernel)
+        np.testing.assert_array_equal(to_numpy(backend, kernel),
+                                      to_numpy(backend, reference))
+        # Where x*x overflows, du/dx is INF and (1 - t^2) is 0: the gradient
+        # is NaN, as in PyTorch, and the fault-propagation study relies on it.
+        overflow = np.abs(x_host) >= 3e154
+        assert np.isnan(to_numpy(backend, kernel)[overflow]).all()
+
+    @pytest.mark.parametrize("a_shape", [(3, 5, 7), (2, 3, 5, 7)])
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_folded_matmul_backward(self, name, a_shape, contiguous):
+        """``(..., K) @ (K, N)``: grad_b equals the summed batched GEMMs to
+        1e-13 relative.  grad_a is the same dot products as the batched GEMM:
+        bit-equal on NumPy, whose batched matmul runs the same BLAS GEMM per
+        matrix; another backend may batch with a different kernel than its
+        2-D GEMM, so there grad_a is held to 1e-13 as well."""
+        backend = get_backend(name)
+        xp = backend.xp
+        rng = np.random.default_rng(12)
+        a = self._dev(name, rng.normal(size=a_shape))
+        b = self._dev(name, rng.normal(size=(7, 4)))
+        out_shape = a_shape[:-1] + (4,)
+        if contiguous:
+            grad = self._dev(name, rng.normal(size=out_shape))
+        else:
+            stored = self._dev(name, rng.normal(size=out_shape[:-2] + (4, out_shape[-2])))
+            grad = xp.swapaxes(stored, -1, -2)
+        grad_a, grad_b = ops.matmul_backward(grad, a, b)
+
+        batched_a = xp.matmul(grad, xp.swapaxes(b, -1, -2))
+        batched_b = xp.matmul(xp.swapaxes(a, -1, -2), grad)
+        while batched_b.ndim > 2:
+            batched_b = xp.sum(batched_b, axis=0)
+        assert tuple(grad_a.shape) == a_shape and tuple(grad_b.shape) == (7, 4)
+        if name == "numpy":
+            assert _same_bytes(backend, grad_a, batched_a)
+        for got, want in ((grad_a, batched_a), (grad_b, batched_b)):
+            ref = to_numpy(backend, want)
+            np.testing.assert_allclose(to_numpy(backend, got), ref, rtol=1e-13,
+                                       atol=1e-13 * np.abs(ref).max())
+
+    def _params(self, name):
+        backend = get_backend(name)
+        rng = np.random.default_rng(14)
+        return [Parameter(self._dev(name, rng.normal(size=shape) * 0.02), backend=backend)
+                for shape in [(6, 4), (4,)]]
+
+    def _grads(self, name, params, step):
+        rng = np.random.default_rng(100 + step)
+        return [self._dev(name, rng.normal(size=tuple(p.shape))) for p in params]
+
+    def test_adamw_matches_allocating_formula_bytes(self, name):
+        backend = get_backend(name)
+        params = self._params(name)
+        opt = AdamW(params, lr=1e-2, weight_decay=0.01)
+        slots = [{"w": backend.copy(p.data), "m": p.xp.zeros_like(p.data),
+                  "v": p.xp.zeros_like(p.data)} for p in params]
+        for step in range(1, 6):
+            grads = self._grads(name, params, step)
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            _adamw_allocating(backend.xp, opt, slots, grads, step)
+        for i, (p, slot) in enumerate(zip(params, slots)):
+            assert _same_bytes(backend, p.data, slot["w"])
+            assert _same_bytes(backend, opt._m[i], slot["m"])
+            assert _same_bytes(backend, opt._v[i], slot["v"])
+            assert opt._moment_sums[i] == slot["sums"]
+        opt.verify_moments()
+
+    def test_sgd_momentum_matches_allocating_formula_bytes(self, name):
+        backend = get_backend(name)
+        params = self._params(name)
+        opt = SGD(params, lr=1e-2, momentum=0.9, weight_decay=0.01)
+        weights = [backend.copy(p.data) for p in params]
+        velocity = [p.xp.zeros_like(p.data) for p in params]
+        for step in range(1, 6):
+            grads = self._grads(name, params, step)
+            for i, (p, g) in enumerate(zip(params, grads)):
+                p.grad = g
+                g = g + 0.01 * weights[i]
+                velocity[i] = 0.9 * velocity[i] + g
+                weights[i] = weights[i] - 1e-2 * velocity[i]
+            opt.step()
+        for i, p in enumerate(params):
+            assert _same_bytes(backend, p.data, weights[i])
+            assert _same_bytes(backend, opt._velocity[i], velocity[i])
 
 
 # ---------------------------------------------------------------------------

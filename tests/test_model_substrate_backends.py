@@ -59,12 +59,12 @@ NUMPY_GOLDENS = {
     },
     "gpt2": {
         "eval_loss": 0.6149454360417236,
-        "train_losses": [0.6163925784059808, 0.598823111037262, 0.5969231659807177],
+        "train_losses": [0.6163925784059808, 0.5988231110372619, 0.5969231659807177],
         "weight_sum": 237.37362011253674,
     },
     "gpt-neo": {
         "eval_loss": 0.6178459100594017,
-        "train_losses": [0.619277882736872, 0.5968320334827545, 0.599659002867734],
+        "train_losses": [0.619277882736872, 0.5968320334827545, 0.5996590028677339],
         "weight_sum": 237.37356645387507,
     },
     "roberta": {

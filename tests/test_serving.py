@@ -25,6 +25,7 @@ from repro.serving import (
     ServingEngine,
     ServingRequest,
 )
+from repro.tensor.autograd import is_grad_enabled
 
 
 def make_gpt2(seed: int = 0):
@@ -184,6 +185,22 @@ class TestFaultFreeServing:
         checker.close()
         keys = set(engine.timers.as_dict())
         assert {"serve/schedule", "serve/prefill", "serve/decode", "serve/verify"} <= keys
+
+    def test_serving_records_no_autograd_graph(self):
+        """Prefill and decode never run backward, so they build no graph:
+        their hidden states carry no parents and no gradient closure."""
+        model = make_gpt2()
+        hidden_states = []
+        for method in ("prefill", "decode_step"):
+            def recording(*args, _method=getattr(model, method), **kwargs):
+                hidden = _method(*args, **kwargs)
+                hidden_states.append(hidden)
+                return hidden
+            setattr(model, method, recording)
+        serve(model, make_requests(model))
+        assert len(hidden_states) > 1
+        assert not any(h.requires_grad for h in hidden_states)
+        assert is_grad_enabled()
 
 
 class TestFaultIsolation:

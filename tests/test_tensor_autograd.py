@@ -1,11 +1,13 @@
 """Unit tests for the reverse-mode autograd engine."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from repro.nn.layers import Linear
 from repro.tensor import autograd as ag
 from repro.tensor.autograd import Tensor
 
@@ -148,6 +150,24 @@ class TestMatmul:
     def test_name_is_recorded(self, rng):
         out = ag.matmul(Tensor(rng.normal(size=(2, 2))), Tensor(rng.normal(size=(2, 2))), name="AS")
         assert out.name == "AS"
+
+    def test_linear_backward_holds_no_batched_weight_temporary(self, rng):
+        """Backward of a ``Linear`` on ``(B, S, H)`` peaks at the gradients it
+        returns: the weight gradient is one 2-D GEMM, never a ``(B, H, O)``
+        stack (512 KiB here) summed afterwards."""
+        b, s, h, o = 16, 4, 64, 64
+        layer = Linear(h, o, rng=rng)
+        x = Tensor(rng.normal(size=(b, s, h)), requires_grad=True)
+        out = layer(x)
+        grad = rng.normal(size=out.shape)
+        tracemalloc.start()
+        try:
+            out.backward(grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layer.weight.grad.shape == (h, o) and layer.bias.grad.shape == (o,)
+        assert peak <= x.grad.nbytes + layer.weight.grad.nbytes + 16 * 1024
 
 
 class TestSoftmaxAndActivations:
