@@ -45,7 +45,7 @@ def train_once(scope):
     batch = make_batch(model, n=4, full_mask=True)
     checker = None
     if scope is not None:
-        checker = ATTNChecker(ATTNCheckerConfig(backend="fused", protect_scope=scope))
+        checker = ATTNChecker(ATTNCheckerConfig(protect_scope=scope))
     trainer = Trainer(
         model, config=TrainerConfig(learning_rate=5e-4), checker=checker
     )
@@ -85,9 +85,7 @@ def ffn_decode_dispatch_counters():
     """
     model = make_model("gpt2")
     model.eval()
-    checker = ATTNChecker(
-        ATTNCheckerConfig(backend="fused", protect_scope="attention+ffn")
-    )
+    checker = ATTNChecker(ATTNCheckerConfig(protect_scope="attention+ffn"))
     model.set_attention_hooks(checker)
     config = model.config
 

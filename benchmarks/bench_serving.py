@@ -28,7 +28,7 @@ import os
 import numpy as np
 
 from benchmarks.conftest import make_model
-from repro.core import ATTNChecker, ATTNCheckerConfig, SectionCostModel
+from repro.core import ATTNChecker, SectionCostModel
 from repro.models import build_model
 from repro.serving import RequestGenerator, ServingConfig, ServingEngine
 
@@ -56,7 +56,7 @@ def serve_once(protected: bool, seed: int = 0):
     model = build_model("gpt2", size="tiny", rng=np.random.default_rng(seed))
     checker = None
     if protected:
-        checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
+        checker = ATTNChecker()
         model.set_attention_hooks(checker)
     engine = ServingEngine(
         model, checker=checker, config=ServingConfig(max_batch_size=BATCH_SIZE)
@@ -78,7 +78,7 @@ def decode_dispatch_counters():
     """
     model = make_model("gpt2")
     model.eval()
-    checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
+    checker = ATTNChecker()
     model.set_attention_hooks(checker)
     config = model.config
 

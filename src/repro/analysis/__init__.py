@@ -4,12 +4,12 @@
     FLOP accounting of the attention mechanism — the GEMM workload ratios of
     Table 3.
 ``reporting``
-    Plain-text table / CSV rendering used by every benchmark harness so the
-    bench output prints the same rows and series the paper reports.
+    Plain-text table rendering used by every benchmark harness so the bench
+    output prints the same rows the paper reports.
 """
 
 from repro.analysis.workload import WorkloadBreakdown, attention_workload, gemm_ratio_table
-from repro.analysis.reporting import format_table, format_percent, render_series, to_csv
+from repro.analysis.reporting import format_table, format_percent
 
 __all__ = [
     "WorkloadBreakdown",
@@ -17,6 +17,4 @@ __all__ = [
     "gemm_ratio_table",
     "format_table",
     "format_percent",
-    "render_series",
-    "to_csv",
 ]

@@ -32,7 +32,6 @@ from repro.backend import (
     resolve_backend_name,
 )
 from repro.core import (
-    CHECKER_BACKENDS,
     PROTECT_SCOPES,
     VERIFICATION_MODES,
     ATTNChecker,
@@ -85,7 +84,7 @@ def run_quickstart(args: argparse.Namespace) -> str:
         rng=np.random.default_rng(args.seed),
     )
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=args.backend, verification_mode=args.verification_mode,
+        verification_mode=args.verification_mode,
         array_backend=args.array_backend, protect_scope=args.protect_scope,
     ))
     model.eval()
@@ -100,7 +99,6 @@ def run_quickstart(args: argparse.Namespace) -> str:
     checker.close()
     substrate = getattr(model, "array_backend", None)
     lines = [
-        f"backend              : {checker.backend}",
         f"verification mode    : {checker.verification_mode}",
         f"array backend        : {checker.array_backend_name} "
         f"(installed: {', '.join(available_array_backends())})",
@@ -114,68 +112,6 @@ def run_quickstart(args: argparse.Namespace) -> str:
         f"residual extremes    : {checker.stats.total_residual_extreme}",
     ]
     return "\n".join(lines)
-
-
-def run_backends(args: argparse.Namespace) -> str:
-    """Compare the fused ProtectionEngine against the per-GEMM reference.
-
-    Runs the same single-fault forward pass under both backends (same seeds)
-    for every (matrix, error type) combination and reports whether detection /
-    correction decisions and the protected output are byte-identical, plus the
-    ABFT wall-clock each backend spent.
-    """
-    combos = [(m, e) for m in ("Q", "K", "V", "AS", "CL", "O")
-              for e in ("inf", "nan", "near_inf")]
-    rows = []
-    abft_seconds = {name: 0.0 for name in CHECKER_BACKENDS}
-    all_identical = True
-    for matrix, error_type in combos:
-        outputs, decisions = {}, {}
-        for backend in CHECKER_BACKENDS:
-            model, batch = _tiny_model_and_batch(
-                args.model, seed=args.seed, array_backend=args.model_array_backend)
-            model.eval()
-            injector = FaultInjector(
-                [FaultSpec(matrix=matrix, error_type=error_type)],
-                rng=np.random.default_rng(args.seed),
-            )
-            checker = ATTNChecker(ATTNCheckerConfig(
-                backend=backend, array_backend=args.array_backend,
-            ))
-            model.set_attention_hooks(ComposedHooks([injector, checker]))
-            outputs[backend] = model(
-                batch["input_ids"], attention_mask=batch["attention_mask"],
-                labels=batch["labels"],
-            ).logits.data.copy()
-            model.set_attention_hooks(None)
-            decisions[backend] = {
-                name: (s.detections, s.corrections, s.aborted_vectors, s.operand_repairs)
-                for name, s in checker.stats.sections.items()
-            }
-            abft_seconds[backend] += checker.overhead_seconds()
-        identical = (
-            np.array_equal(outputs["fused"], outputs["per_gemm"], equal_nan=True)
-            and decisions["fused"] == decisions["per_gemm"]
-        )
-        all_identical &= identical
-        fused = decisions["fused"]
-        rows.append([
-            matrix, error_type,
-            sum(d for d, *_ in fused.values()),
-            sum(c for _, c, *_ in fused.values()),
-            "yes" if identical else "NO",
-        ])
-    footer = (
-        f"backends byte-identical on all {len(combos)} scenarios; "
-        if all_identical else "BACKENDS DIVERGED; "
-    ) + (
-        f"ABFT time fused {abft_seconds['fused'] * 1e3:.1f} ms vs "
-        f"per-GEMM {abft_seconds['per_gemm'] * 1e3:.1f} ms"
-    )
-    return format_table(
-        ["matrix", "error", "detections", "corrections", "identical"], rows,
-        title=f"Backend equivalence — fused engine vs per-GEMM reference ({args.model}); {footer}",
-    )
 
 
 def run_verification_modes(args: argparse.Namespace) -> str:
@@ -263,7 +199,7 @@ def run_train(args: argparse.Namespace) -> str:
     from repro.training import Trainer, TrainerConfig
 
     checker = ATTNChecker(ATTNCheckerConfig(
-        backend=args.backend, verification_mode=args.verification_mode,
+        verification_mode=args.verification_mode,
         array_backend=args.array_backend, protect_scope=args.protect_scope,
     ))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4), checker=checker)
@@ -384,8 +320,7 @@ def run_serve(args: argparse.Namespace) -> str:
         checker = None
         if protected:
             checker = ATTNChecker(ATTNCheckerConfig(
-                backend=args.backend, array_backend=args.array_backend,
-                protect_scope=args.protect_scope,
+                array_backend=args.array_backend, protect_scope=args.protect_scope,
             ))
             model.set_attention_hooks(checker)
         requests = RequestGenerator(
@@ -556,7 +491,6 @@ EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {
     "train": run_train,
     "train_parallel": run_train_parallel,
     "serve": run_serve,
-    "backends": run_backends,
     "verification_modes": run_verification_modes,
     "table2": run_table2,
     "table3": run_table3,
@@ -600,9 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--model", default="bert-base", help="model name for the measured experiments")
     parser.add_argument("--matrix", default="AS", help="fault-injection matrix for quickstart")
     parser.add_argument("--error-type", default="inf", choices=["inf", "nan", "near_inf", "numeric"])
-    parser.add_argument("--backend", default="fused", choices=list(CHECKER_BACKENDS),
-                        help="ATTNChecker mechanics backend: fused ProtectionEngine "
-                             "(default) or the per-GEMM reference implementation")
     parser.add_argument("--protect-scope", default="attention", choices=list(PROTECT_SCOPES),
                         help="protected-section scope: 'attention' (default, the "
                              "paper's three sections) or 'attention+ffn' (adds the "
@@ -611,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="{auto," + ",".join(KNOWN_ARRAY_BACKENDS) + "}",
                         help="array library the checksum chain runs on: 'auto' "
                              "(default) follows the model's arrays; naming a "
-                             "registered backend pins the fused engine to it "
+                             "registered backend pins the checker's engine to it "
                              f"(known: {', '.join(KNOWN_ARRAY_BACKENDS)}; "
                              f"installed here: {', '.join(available_array_backends())})")
     parser.add_argument("--model-array-backend", default=None, type=_array_backend_name,
@@ -624,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--async", dest="verification_mode", action="store_const",
                         const="async", default="immediate",
                         help="verify boundary checksums asynchronously on a worker "
-                             "thread, off the critical path (fused backend only)")
+                             "thread, off the critical path")
     parser.add_argument("--steps", type=int, default=4,
                         help="optimisation steps for the train experiments")
     parser.add_argument("--workers", type=int, default=2,

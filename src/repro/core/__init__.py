@@ -46,9 +46,7 @@ library per checker.
 ``attention_checker``
     :class:`ATTNChecker` — the attention hook that ties everything together
     and plugs into :class:`repro.nn.MultiHeadAttention`.  A thin policy layer
-    (adaptive frequencies, thresholds, statistics) over a selectable backend:
-    the fused ``engine`` (default) or the reference per-GEMM implementation
-    (``ATTNCheckerConfig(backend="per_gemm")``).
+    (adaptive frequencies, thresholds, statistics) over the fused ``engine``.
 ``adaptive``
     Adaptive ABFT detection frequencies (Section 4.5): Poisson error model,
     fault coverage (FC), fault-coverage efficiency (FCE) and the greedy
@@ -89,11 +87,6 @@ from repro.core.workspace import (
 from repro.core.eec_abft import ColumnCheckReport, check_columns, check_rows
 from repro.core.patterns import ErrorPattern, classify_error_pattern, classify_error_types
 from repro.core.correction import MatrixCorrectionReport, correct_matrix
-from repro.core.protected_gemm import (
-    ProtectedGemmResult,
-    ProtectedMatmul,
-    protected_matmul,
-)
 from repro.core.sections import (
     PROTECT_SCOPES,
     PROTECTION_SECTIONS,
@@ -104,7 +97,6 @@ from repro.core.sections import (
 )
 from repro.core.engine import ProtectionEngine, SectionOutcome, WeightEncodingCache
 from repro.core.attention_checker import (
-    CHECKER_BACKENDS,
     VERIFICATION_MODES,
     ATTNChecker,
     ATTNCheckerConfig,
@@ -153,9 +145,6 @@ __all__ = [
     "classify_error_types",
     "correct_matrix",
     "MatrixCorrectionReport",
-    "protected_matmul",
-    "ProtectedMatmul",
-    "ProtectedGemmResult",
     "ProtectionSection",
     "PROTECTION_SECTIONS",
     "SECTION_REGISTRY",
@@ -167,7 +156,6 @@ __all__ = [
     "ATTNChecker",
     "ATTNCheckerConfig",
     "CheckerStats",
-    "CHECKER_BACKENDS",
     "VERIFICATION_MODES",
     "ErrorRates",
     "OperationVulnerability",

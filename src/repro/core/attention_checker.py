@@ -3,24 +3,14 @@
 :class:`ATTNChecker` is an :class:`repro.nn.AttentionHooks` implementation
 that plugs into :class:`repro.nn.MultiHeadAttention` (and therefore into every
 model of the zoo) and realises the protection scheme of Sections 4.2–4.6.
-Since the ProtectionEngine refactor it is a thin *policy* layer — adaptive
-per-section detection frequencies (``f_AS``, ``f_CL``, ``f_O``), thresholds,
-statistics and timing — on top of one of two interchangeable *mechanics*
-backends:
+It is a thin *policy* layer — adaptive per-section detection frequencies
+(``f_AS``, ``f_CL``, ``f_O``), thresholds, statistics and timing — over the
+mechanics of :class:`repro.core.engine.ProtectionEngine`: checksums are
+encoded once per protection section and passed through all member GEMMs in a
+single dispatch at the section-boundary GEMM (the paper's Section 4.4
+design), three Python dispatches per layer instead of six.
 
-``"fused"`` (default)
-    :class:`repro.core.engine.ProtectionEngine` — checksums are encoded once
-    per protection section and passed through all member GEMMs in a single
-    dispatch at the section-boundary GEMM (the paper's Section 4.4 design),
-    three Python dispatches per layer instead of six.
-
-``"per_gemm"``
-    The original hook-per-GEMM implementation, kept as a reference backend:
-    it computes the identical checksum algebra spread over all six GEMM
-    hooks.  Both backends make byte-identical detection/correction decisions;
-    the equivalence is enforced by tests and by the Figure-7 benchmark.
-
-The fused backend additionally selects one of three *verification modes*
+The engine runs in one of three *verification modes*
 (:data:`VERIFICATION_MODES`; see :mod:`repro.core.engine` for the mechanics):
 
 ===========  ==============================  ===========================  ===============
@@ -52,8 +42,7 @@ Usage
 >>> from repro.models import build_model
 >>> from repro.core import ATTNChecker, ATTNCheckerConfig
 >>> model = build_model("bert-base", size="tiny")
->>> checker = ATTNChecker()                                   # fused engine
->>> reference = ATTNChecker(ATTNCheckerConfig(backend="per_gemm"))
+>>> checker = ATTNChecker(ATTNCheckerConfig(verification_mode="async"))
 >>> model.set_attention_hooks(checker)
 >>> # ... train as usual; checker.stats reports detections/corrections.
 """
@@ -64,55 +53,21 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.backend import (
-    ArrayBackend,
-    BackendUnavailable,
-    get_backend,
-    namespace_of,
-)
-from repro.core.checksums import (
-    ChecksumState,
-    adjust_column_checksums_for_bias,
-    encode_column_checksums,
-    encode_per_head_row_checksums_of_weight,
-    encode_row_checksums,
-    checksum_weights,
-    merge_head_column_checksums,
-    split_head_column_checksums,
-    update_column_checksums_through_gemm,
-    update_column_checksums_with_appended_rows,
-)
-from repro.core.correction import MatrixCorrectionReport, correct_matrix
-from repro.core.eec_abft import check_columns, check_rows
-from repro.core.engine import (
-    VERIFICATION_MODES,
-    ProtectionEngine,
-    SectionOutcome,
-    request_dirty_from_report,
-)
-from repro.core.hooks import (
-    AttentionHooks,
-    AttentionOp,
-    FeedForwardOp,
-    GemmContext,
-    SectionContext,
-)
+from repro.backend import ArrayBackend, get_backend
+from repro.core.correction import MatrixCorrectionReport
+from repro.core.engine import VERIFICATION_MODES, ProtectionEngine, SectionOutcome
+from repro.core.hooks import AttentionHooks, SectionContext
 from repro.core.sections import PROTECTION_SECTIONS, PROTECT_SCOPES, sections_for_scope
 from repro.core.thresholds import ABFTThresholds
 from repro.utils.timing import TimingRegistry, XFER_PREFIX
 
 __all__ = [
-    "CHECKER_BACKENDS",
     "VERIFICATION_MODES",
     "ATTNCheckerConfig",
     "SectionStats",
     "CheckerStats",
     "ATTNChecker",
 ]
-
-#: Selectable mechanics backends.
-CHECKER_BACKENDS = ("fused", "per_gemm")
-
 
 
 @dataclass
@@ -140,17 +95,13 @@ class ATTNCheckerConfig:
         Hooks from out-of-scope blocks are ignored, so a model whose
         ``FeedForward`` modules are instrumented can still run an
         attention-only checker unchanged.
-    backend:
-        ``"fused"`` — the section-level checksum-passing
-        :class:`~repro.core.engine.ProtectionEngine` (default);
-        ``"per_gemm"`` — the reference hook-per-GEMM implementation.
     array_backend:
         Which array library the checksum chain runs on — a name from
         :data:`repro.backend.KNOWN_ARRAY_BACKENDS` or ``"auto"`` (default).
-        Orthogonal to both ``backend`` and the verification mode.  ``"auto"``
+        Orthogonal to the verification mode.  ``"auto"``
         *follows* the arrays each protection section produces (a NumPy model
         is checked with NumPy, a Torch tensor with Torch — never a host
-        round-trip).  Naming a backend *pins* the fused engine to it: foreign
+        round-trip).  Naming a backend *pins* the engine to it: foreign
         section outputs are adopted and repaired values written back, with
         the copies timed under the ``xfer/h2d`` / ``xfer/d2h`` keys so
         transfer overhead reports separately from checksum math.  Unknown
@@ -172,9 +123,6 @@ class ATTNCheckerConfig:
           correction of the retained boundary matrices.  Results are folded
           into :attr:`ATTNChecker.stats` as they are harvested at subsequent
           ``end_step`` calls or at :meth:`ATTNChecker.drain`.
-
-        The queued modes need the ``"fused"`` backend; the per-GEMM
-        reference verifies inline at every GEMM.
     max_pending_steps:
         Async only: bound on in-flight submitted step batches; ``end_step``
         blocks once the bound is reached (backpressure), which is also the
@@ -197,7 +145,6 @@ class ATTNCheckerConfig:
     thresholds: ABFTThresholds = field(default_factory=ABFTThresholds)
     frequencies: Dict[str, float] = field(default_factory=lambda: {"AS": 1.0, "CL": 1.0, "O": 1.0})
     protect_scope: str = "attention"
-    backend: str = "fused"
     array_backend: str = "auto"
     verification_mode: str = "immediate"
     max_pending_steps: int = 2
@@ -219,10 +166,6 @@ class ATTNCheckerConfig:
                 raise ValueError(f"frequency for section {name} must be in [0, 1], got {value}")
         for name in active:
             self.frequencies.setdefault(name, 1.0)
-        if self.backend not in CHECKER_BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {CHECKER_BACKENDS}"
-            )
         if self.array_backend != "auto":
             # Fail fast with the registry's helpful unknown-vs-uninstalled
             # message instead of at the first protected forward pass.
@@ -231,12 +174,6 @@ class ATTNCheckerConfig:
             raise ValueError(
                 f"unknown verification_mode {self.verification_mode!r}; "
                 f"expected one of {VERIFICATION_MODES}"
-            )
-        if self.verification_mode != "immediate" and self.backend != "fused":
-            raise ValueError(
-                f"verification_mode={self.verification_mode!r} requires the 'fused' "
-                "backend; the per-GEMM reference verifies inline at every GEMM and "
-                "has no checksum queue to flush or hand to a worker"
             )
         if not isinstance(self.max_pending_steps, int) or self.max_pending_steps < 1:
             raise ValueError(
@@ -305,454 +242,8 @@ class CheckerStats:
             self.sections[name] = SectionStats()
 
 
-class _PerGemmState:
-    """Per-(layer, forward-pass) checksum state of the reference backend."""
-
-    __slots__ = (
-        "enabled",
-        "cs_x_col",
-        "cs_q_col",
-        "cs_k_col",
-        "cs_v_row",
-        "cs_cl_col",
-    )
-
-    def __init__(self, enabled: Dict[str, bool]) -> None:
-        self.enabled = enabled
-        self.cs_x_col: Optional[Any] = None
-        self.cs_q_col: Optional[Any] = None
-        self.cs_k_col: Optional[Any] = None
-        self.cs_v_row: Optional[Any] = None
-        self.cs_cl_col: Optional[Any] = None
-
-
-class _PerGemmReferenceBackend:
-    """The original per-GEMM checker mechanics, kept as a reference backend.
-
-    Dispatches Python work at every one of the six attention GEMM hooks.  The
-    checksum algebra is operation-for-operation identical to the fused
-    :class:`~repro.core.engine.ProtectionEngine`, which makes the two backends
-    byte-comparable — this class is the oracle the engine is validated
-    against.  Like the engine it is array-library generic, but it always
-    *follows* the GEMM operands' owning backend (there is no engine here to
-    pin); a configured ``array_backend`` only affects the fused engine.
-    """
-
-    def __init__(self, checker: "ATTNChecker") -> None:
-        self.checker = checker
-        self._states: Dict[int, _PerGemmState] = {}
-
-    # -- pass lifecycle ---------------------------------------------------------
-
-    def begin_layer(self, layer_index: int, enabled: Dict[str, bool]) -> None:
-        self._states[layer_index] = _PerGemmState(dict(enabled))
-
-    def end_layer(self, layer_index: int) -> None:
-        self._states.pop(layer_index, None)
-
-    def reset(self) -> None:
-        self._states.clear()
-
-    # -- GEMM dispatch ----------------------------------------------------------
-
-    def on_gemm_output(self, ctx: GemmContext, out: Any) -> Any:
-        state = self._states.get(ctx.layer_index)
-        if state is None:  # hooks attached mid-pass; nothing to do safely
-            return out
-        op = ctx.op
-        if op is FeedForwardOp.UP:
-            # FFN sections are single-GEMM (GELU blocks checksum carrying),
-            # so the whole chain runs at the boundary GEMM — identical for
-            # training and decode (the FFN has no cross-token state; decode
-            # is the training algebra at sequence length 1).
-            self._handle_ff_up(ctx, state, out)
-            return out
-        if op is FeedForwardOp.DOWN:
-            self._handle_ff_down(ctx, state, out)
-            return out
-        if ctx.phase == "decode":
-            # Decode is row-side only (see the engine's decode section for
-            # the algebra); XQ contributes nothing because no column
-            # checksums of Q are carried at decode.
-            if op is AttentionOp.XK:
-                self._handle_projection_decode(ctx, state)
-            elif op is AttentionOp.XV:
-                self._handle_value_projection_decode(ctx, state)
-            elif op is AttentionOp.QK:
-                self._handle_attention_scores_decode(ctx, state, out)
-            elif op is AttentionOp.APV:
-                self._handle_context_layer_decode(ctx, state, out)
-            elif op is AttentionOp.CLO:
-                self._handle_output_decode(ctx, state, out)
-            return out
-        if op is AttentionOp.XQ:
-            self._handle_projection(ctx, state, which="q")
-        elif op is AttentionOp.XK:
-            self._handle_projection(ctx, state, which="k")
-        elif op is AttentionOp.XV:
-            self._handle_value_projection(ctx, state)
-        elif op is AttentionOp.QK:
-            self._handle_attention_scores(ctx, state, out)
-        elif op is AttentionOp.APV:
-            self._handle_context_layer(ctx, state, out)
-        elif op is AttentionOp.CLO:
-            self._handle_output(ctx, state, out)
-        return out
-
-    # -- section S_AS -----------------------------------------------------------
-
-    def _handle_projection(self, ctx: GemmContext, state: _PerGemmState, which: str) -> None:
-        """X x W_Q / X x W_K: derive column checksums of Q / K from those of X."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            return
-        num_rows = ctx.a.shape[-2]
-        if state.cs_x_col is None:
-            with checker.timers.measure("AS/encode"):
-                state.cs_x_col = encode_column_checksums(ctx.a)
-            if ctx.phase == "prefill" and ctx.kv_cache is not None:
-                # Seed the cache's incremental input checksums so decode can
-                # fold appended tokens in O(1) of the cached length.
-                cache = ctx.kv_cache
-                cs_x_buf, _ = cache.ensure_checksum_buffers(
-                    namespace_of(ctx.a), ctx.a.shape[-1]
-                )
-                cs_x_buf[...] = state.cs_x_col
-                cache.cs_x_len = num_rows
-        with checker.timers.measure("AS/update"):
-            cs = update_column_checksums_through_gemm(state.cs_x_col, ctx.b)
-            if ctx.bias is not None:
-                cs = adjust_column_checksums_for_bias(cs, ctx.bias, num_rows)
-        if which == "q":
-            state.cs_q_col = cs
-        else:
-            state.cs_k_col = cs
-
-    def _record_report(
-        self, ctx: GemmContext, section: str, report: MatrixCorrectionReport
-    ) -> None:
-        """Record one boundary verification; surface it to serving callers.
-
-        Training callers read ``stats`` / ``last_reports``; serving callers
-        additionally drain :meth:`ATTNChecker.take_recent_outcomes`, so every
-        non-train verification is wrapped in a :class:`SectionOutcome`
-        carrying the per-request dirty mask — the same attribution the fused
-        engine computes, so both backends drive identical repair-or-evict
-        decisions.
-        """
-        checker = self.checker
-        checker.stats.sections[section].record(report)
-        checker.last_reports[section] = report
-        if ctx.phase != "train":
-            checker.recent_outcomes.append(
-                SectionOutcome(
-                    section=section,
-                    layer_index=ctx.layer_index,
-                    step=ctx.step,
-                    report=report,
-                    request_dirty=request_dirty_from_report(report),
-                )
-            )
-
-    def _handle_attention_scores(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """Q x K^T: pass checksums to AS, then detect & correct at the boundary."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            checker.stats.sections["AS"].checks_skipped += 1
-            return
-        if state.cs_q_col is None or state.cs_k_col is None:
-            return
-        num_heads = ctx.num_heads
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("AS/update"):
-            cs_q_ph = split_head_column_checksums(state.cs_q_col, num_heads)   # (B, H, 2, dh)
-            cs_k_ph = split_head_column_checksums(state.cs_k_col, num_heads)
-            # Column side of AS: col(AS) = col(Q) K^T.
-            cs_as_col = xp.matmul(cs_q_ph, ctx.b)                              # (B, H, 2, S)
-            # Row side of AS: row(AS) = Q row(K^T) = Q col(K)^T.
-            cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))          # (B, H, S, 2)
-        with checker.timers.measure("AS/detect"):
-            checksums = ChecksumState(col=cs_as_col, row=cs_as_row)
-            report = correct_matrix(
-                out, checksums, thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "AS", report)
-        if checker.config.repair_operands and report.corrected > 0:
-            with checker.timers.measure("AS/correct"):
-                q_report = check_columns(ctx.a, cs_q_ph, thresholds=checker.thresholds)
-                kt_report = check_rows(ctx.b, xp.swapaxes(cs_k_ph, -1, -2), thresholds=checker.thresholds)
-            checker.stats.sections["AS"].operand_repairs += (
-                q_report.num_corrected + kt_report.num_corrected
-            )
-
-    # -- section S_CL -----------------------------------------------------------
-
-    def _handle_value_projection(self, ctx: GemmContext, state: _PerGemmState) -> None:
-        """X x W_V: derive per-head row checksums of V from those of W_V."""
-        checker = self.checker
-        if not (state.enabled.get("CL", False) or state.enabled.get("O", False)):
-            return
-        num_heads = ctx.num_heads
-        head_dim = ctx.head_dim
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/encode"):
-            rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)  # (D, H, 2)
-        with checker.timers.measure("CL/update"):
-            cs_v_row = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)            # (B, H, S, 2)
-            if ctx.bias is not None:
-                bias_heads = xp.astype(
-                    xp.asarray(ctx.bias), xp.float64, copy=False
-                ).reshape(num_heads, head_dim)
-                _, v2 = checksum_weights(head_dim, xp=xp)
-                cs_v_row = xp.copy(cs_v_row)
-                cs_v_row[..., 0] += xp.sum(bias_heads, axis=-1)[None, :, None]
-                cs_v_row[..., 1] += xp.sum(bias_heads * v2, axis=-1)[None, :, None]
-        state.cs_v_row = cs_v_row
-        if ctx.phase == "prefill" and ctx.kv_cache is not None:
-            # Seed the cache's per-position row checksums of V (bias folded
-            # in), ready for per-token extension at decode.
-            cache = ctx.kv_cache
-            prompt_len = ctx.a.shape[-2]
-            _, cs_v_buf = cache.ensure_checksum_buffers(xp, ctx.a.shape[-1])
-            cs_v_buf[:, :, :prompt_len, :] = cs_v_row
-            cache.cs_v_len = prompt_len
-
-    def _handle_context_layer(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """AP x V: encode AP, pass checksums to CL, detect & correct at the boundary."""
-        checker = self.checker
-        cl_enabled = state.enabled.get("CL", False)
-        o_enabled = state.enabled.get("O", False)
-        if not (cl_enabled or o_enabled):
-            checker.stats.sections["CL"].checks_skipped += 1
-            return
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/encode"):
-            cs_ap_col = encode_column_checksums(ctx.a)                            # (B, H, 2, S)
-        with checker.timers.measure("CL/update"):
-            cs_cl_col = xp.matmul(cs_ap_col, ctx.b)                               # (B, H, 2, dh)
-            cs_cl_row = None
-            if cl_enabled and state.cs_v_row is not None:
-                # row(CL) = AP row(V): carry the per-head row checksums of V
-                # through the AP x V GEMM.
-                cs_cl_row = xp.matmul(ctx.a, state.cs_v_row)                      # (B, H, S, 2)
-        checksums = ChecksumState(col=cs_cl_col, row=cs_cl_row)
-        if cl_enabled:
-            with checker.timers.measure("CL/detect"):
-                report = correct_matrix(
-                    out, checksums, thresholds=checker.thresholds,
-                    refresh_checksums=checker.config.refresh_checksums,
-                )
-            self._record_report(ctx, "CL", report)
-            if checker.config.repair_operands and report.corrected > 0 and state.cs_v_row is not None:
-                with checker.timers.measure("CL/correct"):
-                    v_report = check_rows(ctx.b, state.cs_v_row, thresholds=checker.thresholds)
-                checker.stats.sections["CL"].operand_repairs += v_report.num_corrected
-        else:
-            checker.stats.sections["CL"].checks_skipped += 1
-        # Pass the (possibly refreshed) column checksums of CL to section S_O.
-        state.cs_cl_col = checksums.col
-
-    # -- section S_O ------------------------------------------------------------
-
-    def _handle_output(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """CL x W_O: carry column checksums through and correct the output O."""
-        checker = self.checker
-        if not state.enabled.get("O", False):
-            checker.stats.sections["O"].checks_skipped += 1
-            return
-        if state.cs_cl_col is None:
-            return
-        with checker.timers.measure("O/update"):
-            cs_cl_merged = merge_head_column_checksums(state.cs_cl_col)          # (B, 2, D)
-            cs_o_col = update_column_checksums_through_gemm(cs_cl_merged, ctx.b)  # (B, 2, D)
-        with checker.timers.measure("O/detect"):
-            report = correct_matrix(
-                out, ChecksumState(col=cs_o_col), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "O", report)
-
-    # -- FFN sections S_FF1 / S_FF2 ----------------------------------------------
-
-    def _handle_ff_up(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """x x W_up: encode col(x), carry through W_up, verify H column-side.
-
-        The boundary matrix ``H`` is the raw GEMM output — the bias add runs
-        outside the section (like attention's output-projection bias), so no
-        bias adjustment of the carried checksums is needed.
-        """
-        checker = self.checker
-        if not state.enabled.get("FF1", False):
-            checker.stats.sections["FF1"].checks_skipped += 1
-            return
-        with checker.timers.measure("FF1/encode"):
-            cs_x = encode_column_checksums(ctx.a)
-        with checker.timers.measure("FF1/update"):
-            cs_h = update_column_checksums_through_gemm(cs_x, ctx.b)
-        with checker.timers.measure("FF1/detect"):
-            report = correct_matrix(
-                out, ChecksumState(col=cs_h), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "FF1", report)
-
-    def _handle_ff_down(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """h x W_down: carry rowcs(W_down) through, verify FO row-side."""
-        checker = self.checker
-        if not state.enabled.get("FF2", False):
-            checker.stats.sections["FF2"].checks_skipped += 1
-            return
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("FF2/encode"):
-            rowcs_wd = encode_row_checksums(ctx.b)                      # (D_ff, 2)
-        with checker.timers.measure("FF2/update"):
-            cs_fo = xp.matmul(ctx.a, rowcs_wd)                          # (B, S, 2)
-        with checker.timers.measure("FF2/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_fo), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "FF2", report)
-
-    # -- decode (incremental, row-side only) -------------------------------------
-    #
-    # The reference decode algebra mirrors the engine's decode section
-    # byte-for-byte: the cache's incremental input checksums ``cs_x`` fold in
-    # the new token's row in O(1) of the cached length, per-position row
-    # checksums of V extend by one slot, and each boundary verifies its row
-    # side only (the column side would be O(T) to re-encode, which is exactly
-    # what incremental decode protection avoids).
-
-    @staticmethod
-    def _decode_cache(ctx: GemmContext) -> Any:
-        cache = ctx.kv_cache
-        if cache is None:
-            raise RuntimeError(
-                f"decode GEMM {ctx.op.value!r} fired without a KV cache in context"
-            )
-        return cache
-
-    def _handle_projection_decode(self, ctx: GemmContext, state: _PerGemmState) -> None:
-        """X x W_K at decode: fold the new row into cs(X), derive col(K)."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            return
-        cache = self._decode_cache(ctx)
-        total_len = cache.length + 1  # this token's K row is appended later
-        if cache.cs_x is None or cache.cs_x_len != total_len - 1:
-            raise RuntimeError(
-                f"decode AS protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_x_len} rows but the model is decoding "
-                f"token {total_len}; run a protected prefill first and keep the "
-                f"AS section enabled on every decode step"
-            )
-        with checker.timers.measure("AS/encode"):
-            update_column_checksums_with_appended_rows(cache.cs_x, ctx.a, total_len - 1)
-            cache.cs_x_len = total_len
-        with checker.timers.measure("AS/update"):
-            cs = update_column_checksums_through_gemm(cache.cs_x, ctx.b)
-            if ctx.bias is not None:
-                cs = adjust_column_checksums_for_bias(cs, ctx.bias, total_len)
-        state.cs_k_col = cs
-
-    def _handle_attention_scores_decode(
-        self, ctx: GemmContext, state: _PerGemmState, out: Any
-    ) -> None:
-        """q x K^T at decode: verify the new score row against row(AS)."""
-        checker = self.checker
-        if not state.enabled.get("AS", False):
-            checker.stats.sections["AS"].checks_skipped += 1
-            return
-        if state.cs_k_col is None:
-            return
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("AS/update"):
-            cs_k_ph = split_head_column_checksums(state.cs_k_col, ctx.num_heads)
-            cs_as_row = xp.matmul(ctx.a, xp.swapaxes(cs_k_ph, -1, -2))  # (B, H, 1, 2)
-        with checker.timers.measure("AS/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_as_row), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "AS", report)
-
-    def _handle_value_projection_decode(self, ctx: GemmContext, state: _PerGemmState) -> None:
-        """X x W_V at decode: extend the cached row checksums of V by one slot."""
-        checker = self.checker
-        if not state.enabled.get("CL", False):
-            return
-        cache = self._decode_cache(ctx)
-        total_len = cache.length + 1  # this token's V row is appended later
-        if cache.cs_v_row is None or cache.cs_v_len != total_len - 1:
-            raise RuntimeError(
-                f"decode CL protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_v_len} rows but the model is decoding "
-                f"token {total_len}; run a protected prefill first and keep the "
-                f"CL section enabled on every decode step"
-            )
-        num_heads = ctx.num_heads
-        head_dim = ctx.head_dim
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/encode"):
-            rowcs_wv = encode_per_head_row_checksums_of_weight(ctx.b, num_heads)
-        with checker.timers.measure("CL/update"):
-            cs_v_new = xp.einsum("...sd,dhw->...hsw", ctx.a, rowcs_wv)  # (B, H, 1, 2)
-            if ctx.bias is not None:
-                bias_heads = xp.astype(
-                    xp.asarray(ctx.bias), xp.float64, copy=False
-                ).reshape(num_heads, head_dim)
-                _, v2 = checksum_weights(head_dim, xp=xp)
-                cs_v_new[..., 0] += xp.sum(bias_heads, axis=-1)[None, :, None]
-                cs_v_new[..., 1] += xp.sum(bias_heads * v2, axis=-1)[None, :, None]
-            cache.cs_v_row[:, :, total_len - 1 : total_len, :] = cs_v_new
-            cache.cs_v_len = total_len
-
-    def _handle_context_layer_decode(
-        self, ctx: GemmContext, state: _PerGemmState, out: Any
-    ) -> None:
-        """ap x V at decode: verify the new context row against row(CL)."""
-        checker = self.checker
-        if not state.enabled.get("CL", False):
-            checker.stats.sections["CL"].checks_skipped += 1
-            return
-        cache = self._decode_cache(ctx)
-        total_len = cache.length  # APV fires after the append
-        if cache.cs_v_row is None or cache.cs_v_len != total_len:
-            raise RuntimeError(
-                f"decode CL protection needs contiguous incremental checksums: "
-                f"cache covers {cache.cs_v_len} of {total_len} rows"
-            )
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("CL/update"):
-            cs_cl_row = xp.matmul(ctx.a, cache.cs_v_row[:, :, :total_len, :])
-        with checker.timers.measure("CL/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_cl_row), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "CL", report)
-
-    def _handle_output_decode(self, ctx: GemmContext, state: _PerGemmState, out: Any) -> None:
-        """cl x W_O at decode: verify the new output row against row(O)."""
-        checker = self.checker
-        if not state.enabled.get("O", False):
-            checker.stats.sections["O"].checks_skipped += 1
-            return
-        xp = namespace_of(ctx.a)
-        with checker.timers.measure("O/update"):
-            rowcs_wo = encode_row_checksums(ctx.b)                  # (D, 2)
-            cs_o_row = xp.matmul(ctx.a, rowcs_wo)                   # (B, 1, 2)
-        with checker.timers.measure("O/detect"):
-            report = correct_matrix(
-                out, ChecksumState(row=cs_o_row), thresholds=checker.thresholds,
-                refresh_checksums=checker.config.refresh_checksums,
-            )
-        self._record_report(ctx, "O", report)
-
-
 class ATTNChecker(AttentionHooks):
-    """The ABFT attention hook: policy layer over a mechanics backend."""
+    """The ABFT attention hook: policy layer over the fused ProtectionEngine."""
 
     def __init__(self, config: Optional[ATTNCheckerConfig] = None) -> None:
         self.config = config or ATTNCheckerConfig()
@@ -772,26 +263,17 @@ class ATTNChecker(AttentionHooks):
             None if self.config.array_backend == "auto"
             else get_backend(self.config.array_backend)
         )
-        if self.config.backend == "fused":
-            self.engine: Optional[ProtectionEngine] = ProtectionEngine(
-                thresholds=self.config.thresholds,
-                refresh_checksums=self.config.refresh_checksums,
-                repair_operands=self.config.repair_operands,
-                timers=self.timers,
-                verification_mode=self.config.verification_mode,
-                max_pending_steps=self.config.max_pending_steps,
-                array_backend=self.array_backend,
-            )
-            self._reference: Optional[_PerGemmReferenceBackend] = None
-        else:
-            self.engine = None
-            self._reference = _PerGemmReferenceBackend(self)
+        self.engine = ProtectionEngine(
+            thresholds=self.config.thresholds,
+            refresh_checksums=self.config.refresh_checksums,
+            repair_operands=self.config.repair_operands,
+            timers=self.timers,
+            verification_mode=self.config.verification_mode,
+            max_pending_steps=self.config.max_pending_steps,
+            array_backend=self.array_backend,
+        )
 
     # -- configuration shortcuts ------------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        return self.config.backend
 
     @property
     def array_backend_name(self) -> str:
@@ -806,22 +288,15 @@ class ATTNChecker(AttentionHooks):
 
     @property
     def dispatch_counts(self) -> Dict[str, int]:
-        """Checksum GEMM / verification dispatches the fused engine issued
-        (empty for the per-GEMM reference, which has no fused schedule)."""
-        return dict(self.engine.dispatch_counts) if self.engine is not None else {}
+        """Checksum GEMM / verification dispatches the engine issued."""
+        return dict(self.engine.dispatch_counts)
 
     def workspace_stats(self) -> Dict[str, int]:
-        """Allocation/reuse counters of the critical-path checksum workspace
-        (all zeros for the per-GEMM backend)."""
-        if self.engine is None:
-            return {"slots": 0, "allocations": 0, "reuses": 0, "bytes_allocated": 0}
+        """Allocation/reuse counters of the critical-path checksum workspace."""
         return self.engine.workspace.stats()
 
     def weight_cache_stats(self) -> Dict[str, int]:
-        """Hit/miss counters of the weight-encoding cache (zeros for the
-        per-GEMM backend)."""
-        if self.engine is None:
-            return {"entries": 0, "hits": 0, "misses": 0}
+        """Hit/miss counters of the weight-encoding cache."""
         return self.engine.weight_cache.stats()
 
     def invalidate_weight_cache(self) -> None:
@@ -832,8 +307,7 @@ class ATTNChecker(AttentionHooks):
         global weights version themselves; rebinding ``param.data`` is
         caught by the cache's identity check).
         """
-        if self.engine is not None:
-            self.engine.invalidate_weight_cache()
+        self.engine.invalidate_weight_cache()
 
     @property
     def verification_mode(self) -> str:
@@ -842,7 +316,7 @@ class ATTNChecker(AttentionHooks):
     @property
     def pending_verifications(self) -> int:
         """Boundary checks queued this step, not yet flushed/submitted."""
-        return self.engine.pending_verifications if self.engine is not None else 0
+        return self.engine.pending_verifications
 
     @property
     def thresholds(self) -> ABFTThresholds:
@@ -861,10 +335,7 @@ class ATTNChecker(AttentionHooks):
     def reset_stats(self) -> None:
         # Join the async worker before clearing the timers: an in-flight
         # batch must not record ``async/`` entries into the fresh registry.
-        if self.engine is not None:
-            self.engine.reset()
-        if self._reference is not None:
-            self._reference.reset()
+        self.engine.reset()
         self.stats.reset()
         self.timers.reset()
         self.last_reports.clear()
@@ -907,17 +378,10 @@ class ATTNChecker(AttentionHooks):
     # -- AttentionHooks interface -------------------------------------------------
 
     def on_attention_start(self, layer_index: int, step: int) -> None:
-        enabled = self._section_enabled_this_pass()
-        if self.engine is not None:
-            self.engine.begin_layer(layer_index, enabled)
-        else:
-            self._reference.begin_layer(layer_index, enabled)
+        self.engine.begin_layer(layer_index, self._section_enabled_this_pass())
 
     def on_attention_end(self, layer_index: int, step: int) -> None:
-        if self.engine is not None:
-            self.engine.end_layer(layer_index)
-        else:
-            self._reference.end_layer(layer_index)
+        self.engine.end_layer(layer_index)
 
     def on_block_start(self, block: str, layer_index: int, step: int) -> None:
         """Open the pass window of a non-attention block (e.g. the FFN).
@@ -929,42 +393,27 @@ class ATTNChecker(AttentionHooks):
         if block == "attention":
             return  # attention announces via on_attention_start
         names = self._sections_of_block(block)
-        if not names:
-            return
-        enabled = self._advance_enabled(names)
-        if self.engine is not None:
-            self.engine.begin_layer(layer_index, enabled)
-        else:
-            self._reference.begin_layer(layer_index, enabled)
+        if names:
+            self.engine.begin_layer(layer_index, self._advance_enabled(names))
 
     def on_block_end(self, block: str, layer_index: int, step: int) -> None:
-        if block == "attention":
-            return
-        if not self._sections_of_block(block):
-            return
-        if self.engine is not None:
+        if block != "attention" and self._sections_of_block(block):
             self.engine.end_layer(layer_index)
-        else:
-            self._reference.end_layer(layer_index)
-
-    def on_gemm_output(self, ctx: GemmContext, out: Any) -> Any:
-        if self._reference is not None:
-            return self._reference.on_gemm_output(ctx, out)
-        return out  # fused backend works at section boundaries only
 
     def consumes_gemm_outputs(self) -> bool:
-        """The fused backend needs no per-GEMM dispatch; the reference does.
+        """The engine works at section boundaries only: no per-GEMM dispatch.
 
         This is what lets :class:`repro.nn.MultiHeadAttention` skip the
-        non-boundary GEMM hooks entirely for a fused checker (three dispatch
+        non-boundary GEMM hooks entirely for the checker (three dispatch
         points per layer instead of six) — unless another composed hook (an
-        injector, a recorder) still consumes them.
+        injector, a recorder) still consumes them.  Stated explicitly rather
+        than inherited: the base class decides by whether ``on_gemm_output``
+        is overridden, and a profiler that wraps that class attribute would
+        otherwise flip the dispatch schedule it is measuring.
         """
-        return self.config.backend == "per_gemm"
+        return False
 
     def on_section_output(self, ctx: SectionContext, out: Any) -> Any:
-        if self.engine is None:
-            return out  # per-GEMM backend already handled the boundary GEMM
         outcome = self.engine.protect_section(ctx, out)
         self._record_outcome(ctx.section, outcome)
         return out
@@ -983,8 +432,6 @@ class ATTNChecker(AttentionHooks):
         Returns the outcomes produced now (statistics are folded into
         :attr:`stats`); always leaves :attr:`pending_verifications` at zero.
         """
-        if self.engine is None:
-            return []
         mode = self.config.verification_mode
         if mode == "async":
             with self.timers.measure("submit/async"):
@@ -1003,10 +450,8 @@ class ATTNChecker(AttentionHooks):
         Deferred mode flushes synchronously; async mode submits any residual
         front-buffer items and waits for the worker to finish all batches
         (re-raising a worker exception instead of swallowing it).  A no-op
-        returning ``[]`` in immediate mode or for the per-GEMM backend.
+        returning ``[]`` in immediate mode.
         """
-        if self.engine is None:
-            return []
         mode = self.config.verification_mode
         if mode == "async":
             with self.timers.measure("submit/async"):
@@ -1021,8 +466,7 @@ class ATTNChecker(AttentionHooks):
 
     def close(self) -> None:
         """Join the async verification worker, keeping statistics intact."""
-        if self.engine is not None:
-            self.engine.close()
+        self.engine.close()
 
     def _fold_outcomes(self, outcomes: List[SectionOutcome]) -> None:
         """Fold batched-verification outcomes into :attr:`stats`.
@@ -1110,8 +554,7 @@ class ATTNChecker(AttentionHooks):
     def summary(self) -> str:
         """Human-readable multi-line statistics summary."""
         lines = [
-            f"ATTNChecker statistics (backend={self.config.backend}, "
-            f"mode={self.verification_mode}, "
+            f"ATTNChecker statistics (mode={self.verification_mode}, "
             f"array_backend={self.config.array_backend}):"
         ]
         for name, stats in self.stats.sections.items():

@@ -202,7 +202,7 @@ def fold_request_dirty(dirty: Optional[Any], mask: Any) -> Optional[Any]:
 def request_dirty_from_report(report: MatrixCorrectionReport) -> Optional[Any]:
     """Per-request boolean dirty mask from one verification's sub-reports.
 
-    Shared by the fused engine and the per-GEMM reference backend so both
+    Shared by the fused engine and the per-GEMM test oracle so both
     attribute serving-time detections to batch entries the same way.
     """
     dirty = None
@@ -361,9 +361,9 @@ class ProtectionEngine:
         After a boundary correction, additionally repair the upstream operand
         whose 0D fault caused the propagation (keeps the backward pass clean).
     timers:
-        Shared :class:`TimingRegistry`; phase labels match the historical
-        per-GEMM backend (``"AS/encode"``, ``"CL/detect"``, ...) so overhead
-        reporting is backend-agnostic.  The async worker records under the
+        Shared :class:`TimingRegistry`; phase labels are
+        ``"<section>/<phase>"`` (``"AS/encode"``, ``"CL/detect"``, ...).
+        The async worker records under the
         same labels prefixed ``"async/"``; adoption / write-back copies of a
         pinned engine record under ``"xfer/h2d"`` / ``"xfer/d2h"``.
     verification_mode:
@@ -764,7 +764,7 @@ class ProtectionEngine:
                 # Both bias adjustments collapse into one vectorised in-place
                 # add of the cached concatenated float64 bias row; cs_qk is
                 # freshly computed float64, so the values are identical to
-                # the per-GEMM reference's copy-then-add.
+                # the per-GEMM test oracle's copy-then-add.
                 b_qk = self._cached_weight(
                     ("AS/bias_qk", ctx.layer_index),
                     (ctx.operands["bias_q"], ctx.operands["bias_k"]),
@@ -1026,7 +1026,7 @@ class ProtectionEngine:
                 # intermediate allocates per visit — the documented exception
                 # to the zero-allocation claim (see SectionCostModel.
                 # checksum_workspace_slots).  The contraction itself must stay
-                # an einsum: the per-GEMM reference computes it the same way,
+                # an einsum: the per-GEMM test oracle computes it the same way,
                 # which is what keeps repaired values bitwise identical.
                 # reprolint: disable=WS001
                 cs_v_row = xp.einsum("...sd,dhw->...hsw", ops["x"], rowcs_wv)  # (B, H, S, 2)

@@ -442,34 +442,6 @@ class SectionCostModel:
     # -- host-side dispatch accounting ---------------------------------------------
 
     @staticmethod
-    def python_dispatches_per_layer(backend: str, scope: str = "attention") -> int:
-        """Host-side ABFT dispatch points per transformer layer forward pass.
-
-        The per-GEMM reference backend does checksum work inside all six GEMM
-        hooks; the fused engine dispatches once per protection section (at the
-        boundary GEMM), i.e. three times.  The counts are real dispatch
-        counts, not just work counts: when the fused checker is the only
-        consumer, :class:`repro.nn.MultiHeadAttention` skips the non-boundary
-        GEMM hooks entirely (see ``AttentionHooks.consumes_gemm_outputs``).
-        Composing hooks that do consume per-GEMM outputs (a fault injector, a
-        recorder) restores those dispatches for *them* — the checker's own
-        work still runs at the three boundaries only.  On the GPU substrate
-        the paper targets this is the kernel-launch/synchronisation count; on
-        the NumPy substrate it is the Python round-trip count — either way the
-        fixed per-layer overhead the Section-4.4 fusion removes.
-
-        ``scope`` selects the active section subset (default: the historical
-        attention triple — 3 fused / 6 per-GEMM; ``"attention+ffn"`` adds the
-        two single-GEMM FFN sections — 5 fused / 8 per-GEMM).
-        """
-        sections = sections_for_scope(scope)
-        if backend == "fused":
-            return len(sections)
-        if backend == "per_gemm":
-            return sum(len(s.operations) for s in sections.values())
-        raise KeyError(f"unknown backend {backend!r}; expected 'fused' or 'per_gemm'")
-
-    @staticmethod
     def checksum_gemm_dispatches_per_layer(
         steady_state: bool = True, scope: str = "attention"
     ) -> Dict[str, int]:
@@ -659,8 +631,8 @@ class SectionCostModel:
         """Boundary-*verification* dispatches of one training step, split by
         where they land relative to the training critical path.
 
-        Complements :meth:`python_dispatches_per_layer` (which counts the
-        encode/carry dispatch points of the fused engine): this counts the
+        Complements :meth:`checksum_gemm_dispatches_per_layer` (which counts
+        the encode/carry launches of the fused engine): this counts the
         EEC-ABFT verification passes themselves, per fused-engine mode.
 
         * ``immediate`` — one verification per section per layer, all inside

@@ -451,6 +451,10 @@ def tensor(
 
 # ---------------------------------------------------------------------------
 # Elementwise binary operations
+#
+# Each backward returns ``None`` for an operand that does not require grad
+# (a scale factor, an attention mask): ``Tensor.backward`` drops that
+# gradient anyway, so it is never computed or reduced.
 # ---------------------------------------------------------------------------
 
 def add(a: ArrayLike, b: ArrayLike) -> Tensor:
@@ -459,7 +463,10 @@ def add(a: ArrayLike, b: ArrayLike) -> Tensor:
     out = a.data + b.data
 
     def backward(grad):
-        return ops.unbroadcast(grad, a.shape), ops.unbroadcast(grad, b.shape)
+        return (
+            ops.unbroadcast(grad, a.shape) if a.requires_grad else None,
+            ops.unbroadcast(grad, b.shape) if b.requires_grad else None,
+        )
 
     return a._make_child(out, (a, b), backward)
 
@@ -470,7 +477,10 @@ def sub(a: ArrayLike, b: ArrayLike) -> Tensor:
     out = a.data - b.data
 
     def backward(grad):
-        return ops.unbroadcast(grad, a.shape), ops.unbroadcast(-grad, b.shape)
+        return (
+            ops.unbroadcast(grad, a.shape) if a.requires_grad else None,
+            ops.unbroadcast(-grad, b.shape) if b.requires_grad else None,
+        )
 
     return a._make_child(out, (a, b), backward)
 
@@ -482,8 +492,8 @@ def mul(a: ArrayLike, b: ArrayLike) -> Tensor:
 
     def backward(grad):
         return (
-            ops.unbroadcast(grad * b.data, a.shape),
-            ops.unbroadcast(grad * a.data, b.shape),
+            ops.unbroadcast(grad * b.data, a.shape) if a.requires_grad else None,
+            ops.unbroadcast(grad * a.data, b.shape) if b.requires_grad else None,
         )
 
     return a._make_child(out, (a, b), backward)
@@ -496,8 +506,8 @@ def div(a: ArrayLike, b: ArrayLike) -> Tensor:
 
     def backward(grad):
         return (
-            ops.unbroadcast(grad / b.data, a.shape),
-            ops.unbroadcast(-grad * a.data / (b.data**2), b.shape),
+            ops.unbroadcast(grad / b.data, a.shape) if a.requires_grad else None,
+            ops.unbroadcast(-grad * a.data / (b.data**2), b.shape) if b.requires_grad else None,
         )
 
     return a._make_child(out, (a, b), backward)

@@ -8,8 +8,6 @@ from repro.analysis import (
     format_percent,
     format_table,
     gemm_ratio_table,
-    render_series,
-    to_csv,
 )
 from repro.models import get_config
 
@@ -53,21 +51,3 @@ class TestReporting:
     def test_format_table_row_width_mismatch(self):
         with pytest.raises(ValueError):
             format_table(["a", "b"], [[1]])
-
-    def test_render_series(self):
-        text = render_series("Figure 9", [24, 48], [0.9, 1.2], x_label="batch", y_label="TB/s")
-        assert "Figure 9" in text and "batch" in text and "24" in text
-
-    def test_render_series_length_mismatch(self):
-        with pytest.raises(ValueError):
-            render_series("x", [1, 2], [1])
-
-    def test_to_csv_escapes_commas_and_quotes(self):
-        csv = to_csv(["a", "b"], [["x,y", 'say "hi"']])
-        assert '"x,y"' in csv
-        assert '"say ""hi"""' in csv
-        assert csv.splitlines()[0] == "a,b"
-
-    def test_to_csv_row_count(self):
-        csv = to_csv(["a"], [[1], [2], [3]])
-        assert len(csv.strip().splitlines()) == 4

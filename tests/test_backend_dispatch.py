@@ -927,12 +927,10 @@ class TestConfigPlumbing:
         assert checker.array_backend is None
         assert checker.engine.array_backend is None
 
-    def test_orthogonal_to_checker_backend_axis(self):
-        config = ATTNCheckerConfig(backend="per_gemm", array_backend="numpy")
-        assert config.backend == "per_gemm"
-        assert config.array_backend == "numpy"
+    def test_orthogonal_to_verification_mode(self):
         config = ATTNCheckerConfig(verification_mode="async", array_backend="numpy")
         assert config.verification_mode == "async"
+        assert config.array_backend == "numpy"
 
     def test_trainer_surfaces_array_backend(self):
         from repro.models import build_model

@@ -23,19 +23,10 @@ class TestParser:
         assert args.rates == [13, 20]
 
     def test_registry_covers_all_figures_and_tables(self):
-        expected = {"quickstart", "train", "train_parallel", "serve", "backends",
+        expected = {"quickstart", "train", "train_parallel", "serve",
                     "verification_modes", "table2", "table3",
                     "sec52", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12"}
         assert expected == set(EXPERIMENTS)
-
-    def test_backend_flag_parsed(self):
-        args = build_parser().parse_args(["quickstart", "--backend", "per_gemm"])
-        assert args.backend == "per_gemm"
-        assert build_parser().parse_args(["quickstart"]).backend == "fused"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["quickstart", "--backend", "cuda"])
 
     def test_async_flag_parsed(self):
         args = build_parser().parse_args(["quickstart", "--async"])
@@ -79,14 +70,6 @@ class TestMain:
         assert corrections >= 1
         assert "residual extremes    : 0" in out
 
-    def test_quickstart_with_per_gemm_backend(self, capsys):
-        assert main(["quickstart", "--backend", "per_gemm",
-                     "--matrix", "AS", "--error-type", "inf"]) == 0
-        out = capsys.readouterr().out
-        assert "backend              : per_gemm" in out
-        corrections = int(out.split("corrections          : ")[1].splitlines()[0])
-        assert corrections >= 1
-
     def test_quickstart_with_async_verification(self, capsys):
         assert main(["quickstart", "--async", "--matrix", "AS", "--error-type", "inf"]) == 0
         out = capsys.readouterr().out
@@ -95,10 +78,6 @@ class TestMain:
         assert corrections >= 1
         stale = int(out.split("stale detections     : ")[1].splitlines()[0])
         assert stale >= 1
-
-    def test_async_requires_fused_backend(self):
-        with pytest.raises(ValueError):
-            main(["quickstart", "--async", "--backend", "per_gemm"])
 
     def test_train_reports_zero_transfer_on_shared_backend(self, capsys):
         assert main(["train", "--steps", "2", "--model-array-backend", "numpy"]) == 0
@@ -116,12 +95,6 @@ class TestMain:
         assert main(["quickstart", "--model-array-backend", "numpy"]) == 0
         out = capsys.readouterr().out
         assert "model substrate      : numpy" in out
-
-    def test_backends_experiment_reports_equivalence(self, capsys):
-        assert main(["backends"]) == 0
-        out = capsys.readouterr().out
-        assert "byte-identical on all 18 scenarios" in out
-        assert "NO" not in out.split("identical")[-1]
 
     def test_verification_modes_experiment(self, capsys):
         assert main(["verification_modes"]) == 0

@@ -1,23 +1,24 @@
-"""Tests for the fused ProtectionEngine and its per-GEMM reference backend.
+"""Tests for the fused ProtectionEngine against the per-GEMM oracle.
 
 The central property: the fused section-level checksum-passing engine and the
-original per-GEMM hook implementation must make **identical** detection and
-correction decisions (and produce byte-identical protected outputs) under a
-fault-injection campaign covering every target matrix and error type.
+per-GEMM hook implementation (``tests/per_gemm_oracle.py``) must make
+**identical** detection and correction decisions (and produce byte-identical
+protected outputs) under a fault-injection campaign covering every target
+matrix and error type.
 """
 
 import numpy as np
 import pytest
 
+from per_gemm_oracle import CHECKERS, PerGemmOracle
 from repro.core import (
-    CHECKER_BACKENDS,
     ATTNChecker,
     ATTNCheckerConfig,
     ProtectionEngine,
-    SectionCostModel,
 )
+from repro.data import SyntheticMRPC
 from repro.faults import FaultInjector, FaultSpec
-from repro.models import get_config
+from repro.models import build_model
 from repro.nn import (
     SECTION_BOUNDARY_OPS,
     AttentionHooks,
@@ -58,7 +59,7 @@ def run_with_backend(backend, matrix, error_type, x, seed=7, bias=True, config_k
         [FaultSpec(matrix=matrix, error_type=error_type, layer_index=0)],
         rng=np.random.default_rng(seed),
     )
-    checker = ATTNChecker(ATTNCheckerConfig(backend=backend, **(config_kwargs or {})))
+    checker = CHECKERS[backend](ATTNCheckerConfig(**(config_kwargs or {})))
     output = run_attention(attention, x, ComposedHooks([injector, checker]))
     checker.end_step()
     decisions = {
@@ -75,31 +76,31 @@ def run_with_backend(backend, matrix, error_type, x, seed=7, bias=True, config_k
     return output, decisions
 
 
-class TestBackendConfig:
-    def test_default_backend_is_fused(self):
-        checker = ATTNChecker()
-        assert checker.backend == "fused"
-        assert checker.engine is not None
+class TestCheckerFacade:
+    """Every checker runs the fused engine; its counters read through to it."""
 
-    def test_per_gemm_backend_selectable(self):
-        checker = ATTNChecker(ATTNCheckerConfig(backend="per_gemm"))
-        assert checker.backend == "per_gemm"
-        assert checker.engine is None
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ATTNCheckerConfig(backend="cuda")
-
-    def test_deferred_requires_fused(self):
-        with pytest.raises(ValueError, match="fused"):
-            ATTNCheckerConfig(backend="per_gemm", verification_mode="deferred")
-
-    def test_dispatch_accounting(self):
-        model = SectionCostModel(get_config("bert-base", size="paper"), batch_size=8)
-        assert model.python_dispatches_per_layer("fused") == 3
-        assert model.python_dispatches_per_layer("per_gemm") == 6
-        with pytest.raises(KeyError):
-            model.python_dispatches_per_layer("other")
+    @pytest.mark.parametrize("mode", ["immediate", "deferred", "async"])
+    def test_every_mode_runs_the_engine(self, rng, mode):
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode=mode))
+        try:
+            assert isinstance(checker.engine, ProtectionEngine)
+            assert checker.engine.verification_mode == mode
+            run_attention(make_attention(), rng.normal(size=(1, 4, 16)), checker)
+            expected_pending = 0 if mode == "immediate" else 3
+            assert checker.pending_verifications == expected_pending
+            checker.end_step()
+            checker.drain()
+            assert checker.pending_verifications == 0
+            assert checker.stats.total_checks == 3
+            assert checker.stats.total_detections == 0
+            assert checker.dispatch_counts == checker.engine.dispatch_counts
+            assert checker.dispatch_counts["gemm"] > 0
+            assert checker.dispatch_counts["detect"] > 0
+            assert checker.workspace_stats() == checker.engine.workspace.stats()
+            assert checker.weight_cache_stats() == checker.engine.weight_cache.stats()
+            assert checker.weight_cache_stats()["misses"] > 0
+        finally:
+            checker.close()
 
 
 class TestFusedTransparency:
@@ -146,17 +147,36 @@ class TestFusedTransparency:
     def test_per_gemm_checker_still_gets_all_six_dispatches(self, rng):
         calls = {"gemm": 0}
 
-        class CountingRef(ATTNChecker):
+        class CountingRef(PerGemmOracle):
             def on_gemm_output(self, ctx, out):
                 calls["gemm"] += 1
                 return super().on_gemm_output(ctx, out)
 
         attention = make_attention()
-        run_attention(
-            attention, rng.normal(size=(1, 4, 16)),
-            CountingRef(ATTNCheckerConfig(backend="per_gemm")),
-        )
+        run_attention(attention, rng.normal(size=(1, 4, 16)), CountingRef())
         assert calls["gemm"] == 6
+
+    def test_wrapped_gemm_hook_keeps_section_dispatch(self, rng, monkeypatch):
+        # A profiler wraps ``ATTNChecker.on_gemm_output`` as a class
+        # attribute; the checker's dispatch schedule must not change under it.
+        calls = {"gemm": 0, "section": 0}
+        gemm_hook = ATTNChecker.on_gemm_output
+        section_hook = ATTNChecker.on_section_output
+
+        def traced_gemm(self, ctx, out):
+            calls["gemm"] += 1
+            return gemm_hook(self, ctx, out)
+
+        def traced_section(self, ctx, out):
+            calls["section"] += 1
+            return section_hook(self, ctx, out)
+
+        monkeypatch.setattr(ATTNChecker, "on_gemm_output", traced_gemm, raising=False)
+        monkeypatch.setattr(ATTNChecker, "on_section_output", traced_section)
+        checker = ATTNChecker()
+        assert not checker.consumes_gemm_outputs()
+        run_attention(make_attention(), rng.normal(size=(1, 4, 16)), checker)
+        assert calls == {"gemm": 0, "section": 3}
 
     def test_composed_injector_restores_gemm_dispatch(self, rng):
         # An injector composed with a fused checker consumes per-GEMM outputs,
@@ -210,10 +230,10 @@ class TestBackendEquivalenceVariants:
         # both backends check and skip the same passes.
         x = rng.normal(size=(1, 4, 16))
         results = {}
-        for backend in CHECKER_BACKENDS:
+        for backend, checker_cls in CHECKERS.items():
             attention = make_attention()
-            checker = ATTNChecker(ATTNCheckerConfig(
-                backend=backend, frequencies={"AS": 0.5, "CL": 0.5, "O": 0.5},
+            checker = checker_cls(ATTNCheckerConfig(
+                frequencies={"AS": 0.5, "CL": 0.5, "O": 0.5},
             ))
             for _ in range(4):
                 run_attention(attention, x, checker)
@@ -232,9 +252,9 @@ class TestBackendEquivalenceVariants:
             for m, e in [("Q", "inf"), ("V", "nan"), ("AS", "near_inf"), ("O", "numeric")]
         ]
         totals = {}
-        for backend in CHECKER_BACKENDS:
+        for backend, checker_cls in CHECKERS.items():
             attention = make_attention()
-            checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
+            checker = checker_cls()
             for trial, spec in enumerate(specs):
                 injector = FaultInjector([spec], rng=np.random.default_rng(100 + trial))
                 x = np.random.default_rng(200 + trial).normal(size=(2, 6, 16))
@@ -245,6 +265,41 @@ class TestBackendEquivalenceVariants:
             }
         assert totals["fused"] == totals["per_gemm"]
         assert sum(d for d, *_ in totals["fused"].values()) >= len(specs)
+
+
+def run_model_with_backend(backend, matrix, error_type, seed=0, batch=8):
+    """One single-fault protected forward pass of a tiny BERT classifier."""
+    model = build_model("bert-base", size="tiny", rng=np.random.default_rng(seed))
+    model.eval()
+    data = SyntheticMRPC(num_examples=max(16, 2 * batch),
+                         max_seq_len=model.config.max_seq_len,
+                         vocab_size=model.config.vocab_size)
+    encoded = dict(data.encode(range(batch)))
+    injector = FaultInjector(
+        [FaultSpec(matrix=matrix, error_type=error_type)],
+        rng=np.random.default_rng(seed),
+    )
+    checker = CHECKERS[backend]()
+    model.set_attention_hooks(ComposedHooks([injector, checker]))
+    logits = model(encoded["input_ids"], attention_mask=np.ones_like(encoded["attention_mask"]),
+                   labels=encoded["labels"]).logits.data.copy()
+    model.set_attention_hooks(None)
+    decisions = {
+        name: (s.detections, s.corrections, s.aborted_vectors, s.operand_repairs)
+        for name, s in checker.stats.sections.items()
+    }
+    return logits, decisions
+
+
+@pytest.mark.parametrize("matrix", ["Q", "K", "V", "AS", "CL", "O"])
+@pytest.mark.parametrize("error_type", ["inf", "nan", "near_inf"])
+def test_full_model_campaign_matches_oracle(matrix, error_type):
+    """Every layer of a whole model: fused and oracle byte-identical."""
+    fused_out, fused_decisions = run_model_with_backend("fused", matrix, error_type)
+    ref_out, ref_decisions = run_model_with_backend("per_gemm", matrix, error_type)
+    assert fused_decisions == ref_decisions
+    assert sum(d for d, *_ in fused_decisions.values()) >= 1
+    assert np.array_equal(fused_out, ref_out, equal_nan=True)
 
 
 class TestDeferredVerification:

@@ -9,9 +9,11 @@ token streams.
 
 ``tests/data/golden_attention_scope.json`` was generated by running exactly
 the harness below against the pre-refactor tree (commit 053fa8c), across
-every supported (checker backend, verification mode) combination.  Any
-diff here means the refactor changed attention-scope behaviour — which the
-acceptance criteria forbid.
+every supported (checker, verification mode) combination: the fused
+``ATTNChecker`` in each mode (``fused/<mode>``) and the per-GEMM test oracle
+(``per_gemm/immediate``, now ``tests/per_gemm_oracle.py``).  Any diff here
+means attention-scope behaviour changed — which the acceptance criteria
+forbid.
 """
 
 import json
@@ -20,12 +22,8 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import (
-    CHECKER_BACKENDS,
-    VERIFICATION_MODES,
-    ATTNChecker,
-    ATTNCheckerConfig,
-)
+from per_gemm_oracle import CHECKERS
+from repro.core import VERIFICATION_MODES, ATTNCheckerConfig
 from repro.data import SyntheticMRPC
 from repro.faults import FaultInjector, FaultSpec
 from repro.models import build_model
@@ -37,12 +35,7 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data", "golden_attention_
 with open(GOLDEN_PATH) as fh:
     GOLDEN = json.load(fh)
 
-CASES = [
-    (backend, mode)
-    for backend in CHECKER_BACKENDS
-    for mode in VERIFICATION_MODES
-    if not (backend == "per_gemm" and mode != "immediate")
-]
+CASES = [("fused", mode) for mode in VERIFICATION_MODES] + [("per_gemm", "immediate")]
 
 
 def run_train_case(backend: str, mode: str) -> dict:
@@ -55,8 +48,7 @@ def run_train_case(backend: str, mode: str) -> dict:
         [FaultSpec(matrix="AS", error_type="near_inf", layer_index=0)],
         rng=np.random.default_rng(3),
     )
-    checker = ATTNChecker(ATTNCheckerConfig(
-        backend=backend, verification_mode=mode))
+    checker = CHECKERS[backend](ATTNCheckerConfig(verification_mode=mode))
     trainer = Trainer(model, config=TrainerConfig(learning_rate=5e-4),
                       checker=checker, fault_hooks=[injector])
     losses = []
@@ -85,8 +77,7 @@ def run_train_case(backend: str, mode: str) -> dict:
 def run_serve_case(backend: str, mode: str) -> dict:
     from repro.serving import RequestGenerator, ServingConfig, ServingEngine
     model = build_model("gpt2", size="tiny", rng=np.random.default_rng(0))
-    checker = ATTNChecker(ATTNCheckerConfig(
-        backend=backend, verification_mode=mode))
+    checker = CHECKERS[backend](ATTNCheckerConfig(verification_mode=mode))
     model.set_attention_hooks(checker)
     requests = RequestGenerator(vocab_size=model.config.vocab_size,
                                 prompt_len_range=(3, 6), new_tokens_range=(2, 5),

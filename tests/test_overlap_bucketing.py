@@ -234,7 +234,7 @@ class TestOverlappedByteIdentity:
             shards=2,
             cap=0.05,
             policy="reexecute",
-            protection=ATTNCheckerConfig(backend="fused"),
+            protection=ATTNCheckerConfig(),
         )
         assert states_equal(plain, state)
         counters = trainer.bucket_counters()

@@ -605,7 +605,7 @@ class TestPerRankProtection:
     def test_per_rank_checkers_run_independently(self):
         from repro.core import ATTNCheckerConfig
 
-        protection = ATTNCheckerConfig(backend="fused")
+        protection = ATTNCheckerConfig()
         reference, _ = train_to_state(workers=1, shards=2)
         state, trainer = train_to_state(workers=2, shards=2, protection=protection)
         # Fault-free protection perturbs nothing: still byte-identical.

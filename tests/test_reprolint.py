@@ -382,18 +382,6 @@ def test_ws001_contract_is_section_generic(tmp_path):
     assert "_verify_ff1_boundary" in ws[0].symbol
 
 
-def test_ws001_per_gemm_reference_backend_stays_out_of_scope(tmp_path):
-    # attention_checker.py hosts the deliberately allocation-per-call
-    # reference backend the fused engine is benchmarked against.
-    result = lint(tmp_path, {
-        "src/repro/core/attention_checker.py": """
-            def _handle_ff_down(xp, h, w_down):
-                return xp.matmul(h, w_down)
-        """,
-    })
-    assert result.new == []
-
-
 def test_ws001_silent_on_into_helpers_and_outside_engine(tmp_path):
     result = lint(tmp_path, {
         "src/repro/core/engine.py": """

@@ -2,7 +2,8 @@
 
 Covers the serving workload generator, the batched serving engine, the
 equivalence campaign (fault-free protected decode byte-identical to
-unprotected; per-GEMM / fused / fused+async agree on detection decisions),
+unprotected; the per-GEMM oracle / fused / fused+async agree on detection
+decisions),
 per-request fault isolation (repair and eviction), and the O(1)-per-token
 decode checksum dispatch counters against the serving cost-model entry.
 """
@@ -10,6 +11,7 @@ decode checksum dispatch counters against the serving cost-model entry.
 import numpy as np
 import pytest
 
+from per_gemm_oracle import CHECKERS
 from repro.core import (
     VERIFICATION_MODES,
     ATTNChecker,
@@ -146,7 +148,7 @@ class TestFaultFreeServing:
         baseline = serve(requests_model, make_requests(requests_model))
 
         model = make_gpt2()
-        checker = ATTNChecker(ATTNCheckerConfig(backend=backend))
+        checker = CHECKERS[backend]()
         model.set_attention_hooks(checker)
         protected = serve(model, make_requests(model), checker=checker)
         checker.close()
@@ -164,9 +166,7 @@ class TestFaultFreeServing:
         baseline = serve(requests_model, make_requests(requests_model))
 
         model = make_gpt2()
-        checker = ATTNChecker(
-            ATTNCheckerConfig(backend="fused", verification_mode=mode)
-        )
+        checker = ATTNChecker(ATTNCheckerConfig(verification_mode=mode))
         model.set_attention_hooks(checker)
         protected = serve(model, make_requests(model), checker=checker)
         checker.close()
@@ -178,7 +178,7 @@ class TestFaultFreeServing:
 
     def test_serving_timer_keys_present(self):
         model = make_gpt2()
-        checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
+        checker = ATTNChecker()
         model.set_attention_hooks(checker)
         engine = ServingEngine(model, checker=checker)
         engine.run(make_requests(model))
@@ -233,9 +233,7 @@ class TestFaultIsolation:
     def _serve_with_fault(self, error_type, backend="fused", mode="immediate",
                           evict_uncorrected=True):
         model = make_gpt2()
-        checker = ATTNChecker(
-            ATTNCheckerConfig(backend=backend, verification_mode=mode)
-        )
+        checker = CHECKERS[backend](ATTNCheckerConfig(verification_mode=mode))
         injector = FaultInjector(
             self._specs(error_type), rng=np.random.default_rng(0), enabled=False
         )
@@ -359,7 +357,7 @@ class TestDecodeDispatchCounters:
 
     def test_steady_state_decode_dispatches_constant_in_cache_length(self):
         model = make_gpt2()
-        checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
+        checker = ATTNChecker()
         model.set_attention_hooks(checker)
         config = model.config
         rng = np.random.default_rng(7)
@@ -455,7 +453,7 @@ class TestSlotCompaction:
             baseline_model, self._mixed_requests(baseline_model)
         )
         model = make_gpt2()
-        checker = ATTNChecker(ATTNCheckerConfig(backend="fused"))
+        checker = ATTNChecker()
         model.set_attention_hooks(checker)
         protected = self._serve_counted(
             model, self._mixed_requests(model), checker=checker
@@ -474,7 +472,7 @@ class TestSlotCompaction:
         # engine must not compact under async verification.
         model = make_gpt2()
         checker = ATTNChecker(
-            ATTNCheckerConfig(backend="fused", verification_mode="async")
+            ATTNCheckerConfig(verification_mode="async")
         )
         model.set_attention_hooks(checker)
         report = self._serve_counted(model, self._mixed_requests(model), checker=checker)

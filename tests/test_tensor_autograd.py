@@ -93,6 +93,32 @@ class TestArithmeticGradients:
         assert a.grad[idx] == pytest.approx(numerical_grad(loss_fn, a, idx), rel=1e-4, abs=1e-6)
         assert b.grad[idx] == pytest.approx(numerical_grad(loss_fn, b, idx), rel=1e-4, abs=1e-6)
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("constant", ["a", "b"])
+    def test_binary_ops_skip_constant_operand(self, rng, monkeypatch, op, constant):
+        # A constant operand's gradient is never built: the only reduction
+        # left is the trainable operand's, and its gradient is unchanged.
+        data = {"a": rng.normal(size=(2, 3, 4)) + 2.0, "b": rng.normal(size=(3, 4)) + 2.0}
+        both = {k: Tensor(v, requires_grad=True) for k, v in data.items()}
+        out = getattr(ag, op)(both["a"], both["b"])
+        out.backward(np.ones_like(out.data))
+
+        one = {k: Tensor(v, requires_grad=k != constant) for k, v in data.items()}
+        trainable = "b" if constant == "a" else "a"
+        unbroadcast = ag.ops.unbroadcast
+        seen = []
+
+        def spy(grad, shape):
+            seen.append(tuple(shape))
+            return unbroadcast(grad, shape)
+
+        monkeypatch.setattr(ag.ops, "unbroadcast", spy)
+        out = getattr(ag, op)(one["a"], one["b"])
+        out.backward(np.ones_like(out.data))
+        assert seen == [one[trainable].shape]
+        assert np.array_equal(one[trainable].grad, both[trainable].grad)
+        assert one[constant].grad is None
+
     def test_broadcast_bias_gradient(self, rng):
         x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         bias = Tensor(rng.normal(size=(5,)), requires_grad=True)

@@ -2,7 +2,8 @@
 
 Four checker configurations can protect the same attention pass:
 
-* ``per_gemm``        — the reference backend (verifies inline at each GEMM),
+* ``per_gemm``        — the test oracle (``tests/per_gemm_oracle.py``), which
+  verifies inline at each GEMM,
 * ``fused``           — the fused engine, immediate verification,
 * ``fused+deferred``  — the fused engine, one batched pass per step,
 * ``fused+async``     — the fused engine, batched passes on a worker thread
@@ -30,6 +31,7 @@ import time
 import numpy as np
 import pytest
 
+from per_gemm_oracle import PerGemmOracle
 from repro.core import (
     ATTNChecker,
     ATTNCheckerConfig,
@@ -53,8 +55,9 @@ MATRICES = ("Q", "K", "V", "AS", "CL", "O")
 ERRORS = ("inf", "nan", "near_inf", "numeric")
 SECTION_RANK = {"AS": 0, "CL": 1, "O": 2}
 
+#: Checker configuration per campaign mode; ``per_gemm`` runs the oracle.
 MODE_KWARGS = {
-    "per_gemm": {"backend": "per_gemm"},
+    "per_gemm": {},
     "fused": {"verification_mode": "immediate"},
     "fused+deferred": {"verification_mode": "deferred"},
     "fused+async": {"verification_mode": "async"},
@@ -109,7 +112,8 @@ def run_scenario(mode, scenario, seed, extra_config=None, warm_up=False):
                    layer_index=0)],
         rng=np.random.default_rng(4000 + seed),
     )
-    checker = ATTNChecker(ATTNCheckerConfig(**MODE_KWARGS[mode], **(extra_config or {})))
+    checker_cls = PerGemmOracle if mode == "per_gemm" else ATTNChecker
+    checker = checker_cls(ATTNCheckerConfig(**MODE_KWARGS[mode], **(extra_config or {})))
     if warm_up:
         clean = np.random.default_rng(5000 + seed).normal(size=x.shape).astype(x.dtype)
         attention.set_hooks(checker)
@@ -537,10 +541,6 @@ class TestBackpressureAndLifecycle:
 # ---------------------------------------------------------------------------
 
 class TestConfigGuards:
-    def test_async_requires_fused_backend(self):
-        with pytest.raises(ValueError, match="fused"):
-            ATTNCheckerConfig(backend="per_gemm", verification_mode="async")
-
     @pytest.mark.parametrize("bad", [0, -1, 1.5])
     def test_max_pending_steps_must_be_positive_integer(self, bad):
         with pytest.raises(ValueError, match="max_pending_steps"):

@@ -21,6 +21,7 @@ Covers the PR's acceptance criteria beyond the attention-scope golden pin:
 import numpy as np
 import pytest
 
+from per_gemm_oracle import CHECKERS
 from repro.core import (
     PROTECT_SCOPES,
     SECTION_REGISTRY,
@@ -161,8 +162,7 @@ class TestFFNFaultCampaign:
                                position=(0, 1, 2))],
                     rng=np.random.default_rng(0),
                 )
-                checker = ATTNChecker(ATTNCheckerConfig(
-                    backend=backend, protect_scope="attention+ffn"))
+                checker = CHECKERS[backend](ATTNCheckerConfig(protect_scope="attention+ffn"))
                 model.eval()
                 model.set_attention_hooks(ComposedHooks([injector, checker]))
                 output = model(batch["input_ids"], attention_mask=batch["attention_mask"])

@@ -12,10 +12,7 @@ since the whole-model refactor the same engine hot path verifies every
 handler added for a future block inherits the ``out=`` obligation
 automatically — the rule keys on the file, not on section names.  Deliberate
 exceptions (the workspace-off fallback; the one einsum whose ``out=`` form is
-~4x slower in NumPy) carry inline suppressions explaining themselves.  The
-per-GEMM reference backend (``attention_checker.py``) is deliberately out of
-scope: it exists to be the simple, allocation-per-call baseline the fused
-engine is benchmarked against.
+~4x slower in NumPy) carry inline suppressions explaining themselves.
 """
 
 from __future__ import annotations
